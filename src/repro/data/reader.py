@@ -34,7 +34,7 @@ class ShardedDataset:
     Construction validates the manifest only; shard payloads are mapped
     lazily.  Arrays returned by :meth:`shard_x` and :meth:`rows` may
     alias the files on disk and must not be written to; use
-    :meth:`stacked` or :meth:`to_trace_dataset` for an owned copy.
+    :meth:`stacked` for an owned copy.
     """
 
     def __init__(self, store_dir) -> None:
@@ -136,22 +136,6 @@ class ShardedDataset:
             x[start : start + entry.n_rows] = self.shard_x(index)
         obs.counter("data.rows_read").inc(self._n_rows)
         return x, self.labels.tolist()
-
-    def to_trace_dataset(self):
-        """An owned in-memory :class:`~repro.core.dataset.TraceDataset`."""
-        from repro.core.dataset import TraceDataset
-
-        x, labels = self.stacked()
-        return TraceDataset(
-            x=x,
-            labels=labels,
-            metadata={
-                "source": "repro.data",
-                "store": str(self.store_dir),
-                "config": self.manifest.config.as_dict(),
-                "repro_version": self.manifest.repro_version,
-            },
-        )
 
     # -- streaming ------------------------------------------------------
 

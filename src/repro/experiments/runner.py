@@ -11,7 +11,6 @@ Usage::
     biggerfish cache clear
     biggerfish report out/
     biggerfish lint src/ tests/ --format json
-    biggerfish bench --compare benchmarks/results/bench_main.json
     biggerfish verify --seeds 25 --shrink
     biggerfish train --out model/ --scale smoke
     biggerfish serve --artifact model/ < requests.jsonl
@@ -40,15 +39,13 @@ changes results — a profiled run's tables are bit-identical.
 
 ``biggerfish lint`` runs the :mod:`repro.lint` determinism linter
 (seeded-RNG plumbing, simulated-time-only simulation code, order-stable
-iteration); ``biggerfish bench`` runs the :mod:`repro.bench`
-perf-regression harness (seeded scenarios, ``bench_*.json`` results,
-``--compare BASELINE`` exits nonzero on regression); ``biggerfish
-verify`` runs the :mod:`repro.verify` differential-oracle harness
-(every optimized path against its reference over seeded cases, with
-counterexample shrinking — see ``docs/VERIFY.md``).  All three own
-their argument grammar — see ``biggerfish lint --help`` / ``biggerfish
-bench --help`` / ``biggerfish verify --help``.  The full flag and
-environment-variable reference lives in ``docs/CLI.md``.
+iteration); ``biggerfish verify`` runs the :mod:`repro.verify`
+differential-oracle harness (every optimized path against its reference
+over seeded cases, with counterexample shrinking — see
+``docs/VERIFY.md``).  Both own their argument grammar — see
+``biggerfish lint --help`` / ``biggerfish verify --help``.  The full
+flag and environment-variable reference lives in ``docs/CLI.md``;
+performance is measured by the benchmark in ``perfbench/README.md``.
 """
 
 from __future__ import annotations
@@ -107,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "experiment ids (e.g. table1 fig5), 'all', or a subcommand: "
             "'cache info' / 'cache clear' / 'report <run-dir>' / "
-            "'lint [paths]' / 'bench [scenarios]' / 'verify' / 'data ...'"
+            "'lint [paths]' / 'verify' / 'data ...'"
         ),
     )
     parser.add_argument("--scale", choices=sorted(SCALES), default="default")
@@ -234,13 +231,8 @@ def main(argv: list[str] | None = None) -> int:
         from repro.lint.cli import main as lint_main
 
         return lint_main(argv[1:])
-    if argv and argv[0] == "bench":
-        # Same deal for the perf-regression harness (--repeat, --compare).
-        from repro.bench.cli import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "verify":
-        # And the differential-oracle harness (--seeds, --shrink).
+        # Same deal for the differential-oracle harness (--seeds, --shrink).
         from repro.verify.cli import main as verify_main
 
         return verify_main(argv[1:])

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.config import Scale
+from repro.engine import RunContext
+from repro.experiments import fig4, fig6
 from repro.sim.machine import InterruptSynthesizer, MachineConfig
 from repro.workload.browser import LINUX
 from repro.workload.website import profile_for
@@ -47,3 +49,15 @@ TINY = Scale(
 @pytest.fixture(scope="session")
 def tiny_scale() -> Scale:
     return TINY
+
+
+@pytest.fixture(scope="session")
+def fig4_result():
+    """Fig 4 at TINY scale, shared by the experiment and renderer tests."""
+    return fig4.run(RunContext.default(scale=TINY.with_(traces_per_site=6), seed=4))
+
+
+@pytest.fixture(scope="session")
+def fig6_result():
+    """Fig 6 at TINY scale, shared by the experiment and renderer tests."""
+    return fig6.run(RunContext.default(scale=TINY.with_(trace_seconds=4.0), seed=4))

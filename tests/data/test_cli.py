@@ -1,8 +1,5 @@
 """Tests for the ``biggerfish data`` CLI and its runner dispatch."""
 
-import numpy as np
-import pytest
-
 from repro.data import DatasetConfig, ShardedDataset, build_dataset
 from repro.data.cli import main as data_main
 from repro.experiments.runner import main as runner_main
@@ -94,19 +91,3 @@ def test_train_from_store(tmp_path, capsys):
     x, _ = ShardedDataset(store).stacked()
     assert model.predict_proba(x).shape == (12, 3)
 
-
-def test_loadgen_vectors_from_store(tmp_path):
-    from repro.serve.loadgen import vectors_from_store
-
-    store = tmp_path / "store"
-    build_dataset(
-        store, DatasetConfig(n_sites=2, traces_per_site=3, trace_seconds=0.4)
-    )
-    everything = vectors_from_store(store)
-    assert len(everything) == 6
-    sample = vectors_from_store(store, 4, seed=9)
-    assert len(sample) == 4
-    again = vectors_from_store(store, 4, seed=9)
-    np.testing.assert_array_equal(np.stack(sample), np.stack(again))
-    with pytest.raises(ValueError):
-        vectors_from_store(store, 0)

@@ -40,9 +40,11 @@ class TestBuild:
         assert manifest.status == "complete"
         assert manifest.n_rows == 8
         assert len(manifest.shards) == 2
-        x, labels = ShardedDataset(store_dir).stacked()
+        store = ShardedDataset(store_dir)
+        x, labels = store.stacked()
         np.testing.assert_array_equal(x, reference[0])
         assert labels == reference[1]
+        assert store.manifest.config.as_dict() == CONFIG.as_dict()
 
     def test_parallel_build_is_bit_identical(self, tmp_path):
         from repro.engine.engine import ExecutionEngine
@@ -127,13 +129,6 @@ class TestReader:
         np.testing.assert_array_equal(store.rows(picks), reference[0][picks])
         with pytest.raises(IndexError):
             store.rows([8])
-
-    def test_to_trace_dataset(self, tmp_path, reference):
-        store_dir, _ = build(tmp_path)
-        dataset = ShardedDataset(store_dir).to_trace_dataset()
-        np.testing.assert_array_equal(dataset.x, reference[0])
-        assert dataset.labels == reference[1]
-        assert dataset.metadata["config"] == CONFIG.as_dict()
 
     def test_refuses_incomplete_store(self, tmp_path):
         store_dir, _ = build(tmp_path)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments import fig3, fig4, fig5, fig6, fig7, fig8
+from repro.experiments import fig3, fig5, fig7, fig8
 from repro.sim.events import US
 from repro.sim.interrupts import InterruptType
 from repro.engine import RunContext
@@ -33,17 +33,13 @@ class TestFig3:
 
 
 class TestFig4:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return fig4.run(RunContext.default(scale=TINY.with_(traces_per_site=6), seed=4))
-
-    def test_correlations_strong(self, result):
+    def test_correlations_strong(self, fig4_result):
         """Loop and sweep traces are shaped by the same system events."""
-        for row in result.rows:
+        for row in fig4_result.rows:
             assert row.correlation > 0.4
 
-    def test_all_sites(self, result):
-        assert [r.site for r in result.rows] == [
+    def test_all_sites(self, fig4_result):
+        assert [r.site for r in fig4_result.rows] == [
             "nytimes.com", "amazon.com", "weather.com",
         ]
 
@@ -74,30 +70,26 @@ class TestFig5:
 
 
 class TestFig6:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return fig6.run(RunContext.default(scale=TINY.with_(trace_seconds=4.0), seed=4))
-
-    def test_meltdown_floor(self, result):
-        for hist in result.histograms.values():
+    def test_meltdown_floor(self, fig6_result):
+        for hist in fig6_result.histograms.values():
             if hist.n_samples:
                 assert hist.min_ns() >= 1.5 * US - 1e-6
 
-    def test_irq_work_rides_timer(self, result):
-        assert result.irq_work_timer_coincidence > 0.5
+    def test_irq_work_rides_timer(self, fig6_result):
+        assert fig6_result.irq_work_timer_coincidence > 0.5
 
-    def test_all_four_types_sampled(self, result):
+    def test_all_four_types_sampled(self, fig6_result):
         for itype in (
             InterruptType.SOFTIRQ_NET_RX,
             InterruptType.TIMER,
             InterruptType.IRQ_WORK,
             InterruptType.NETWORK_RX,
         ):
-            assert result.histograms[itype].n_samples > 0
+            assert fig6_result.histograms[itype].n_samples > 0
 
-    def test_softirq_broadest(self, result):
-        softirq = result.histograms[InterruptType.SOFTIRQ_NET_RX].samples
-        network = result.histograms[InterruptType.NETWORK_RX].samples
+    def test_softirq_broadest(self, fig6_result):
+        softirq = fig6_result.histograms[InterruptType.SOFTIRQ_NET_RX].samples
+        network = fig6_result.histograms[InterruptType.NETWORK_RX].samples
         assert softirq.std() > network.std()
 
 

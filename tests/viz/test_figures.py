@@ -5,7 +5,7 @@ import xml.dom.minidom
 import pytest
 
 from repro.config import SMOKE
-from repro.experiments import fig3, fig4, fig7, fig8
+from repro.experiments import fig3, fig7, fig8
 from repro.viz.figures import RENDERERS, render
 from repro.engine import RunContext
 from tests.conftest import TINY
@@ -44,9 +44,8 @@ class TestRenderers:
         assert "nytimes.com" in svg
         assert svg.count("rgb(") > 100  # heat cells
 
-    def test_fig4_valid(self):
-        result = fig4.run(RunContext.default(scale=TINY.with_(traces_per_site=4), seed=1))
-        svg = render("fig4", result)
+    def test_fig4_valid(self, fig4_result):
+        svg = render("fig4", fig4_result)
         parse(svg)
         assert "weather.com" in svg
 
@@ -58,11 +57,8 @@ class TestRenderers:
         parse(svg)
         assert "Softirq" in svg and "Resched" in svg
 
-    def test_fig6_valid(self):
-        from repro.experiments import fig6
-
-        result = fig6.run(RunContext.default(scale=TINY.with_(trace_seconds=3.0), seed=2))
-        svg = render("fig6", result)
+    def test_fig6_valid(self, fig6_result):
+        svg = render("fig6", fig6_result)
         parse(svg)
         assert "timer" in svg
 
