@@ -284,43 +284,56 @@ class TraceCollector:
         rng: np.random.Generator,
         label: str,
     ) -> Trace:
-        """Replay the attacker loop (Fig 2) over one simulated run."""
+        """Replay the attacker loop (Fig 2) over one simulated run.
+
+        Two passes.  The boundary pass walks the periods in order, since
+        each period starts where the last one ended and stateful timers
+        must be queried monotonically; it does only the timer reads and
+        the gap lookups.  The counting pass then converts all periods at
+        once: stolen time from the gap prefix sums, counters from
+        :meth:`~repro.core.attacker.Attacker.count_many`.
+        """
         gaps = run.attacker_timeline.gaps
+        t0, t1, observed_starts = self._period_boundaries(gaps, timer)
+        exec_ns = (t1 - t0) - (gaps.stolen_before(t1) - gaps.stolen_before(t0))
+        counters = self.attacker.count_many(
+            exec_ns, t0, run, rng, self.browser.measurement_noise
+        )
+        return Trace(
+            spec=self.spec,
+            observed_starts=observed_starts,
+            counters=counters,
+            label=label,
+            attacker=self.attacker.name,
+        )
+
+    def _period_boundaries(self, gaps, timer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per period: start, end clamped to the horizon, observed start."""
         horizon = float(self.spec.horizon_ns)
         period = float(self.period_ns)
-        noise_sigma = self.browser.measurement_noise
+        starts: list[float] = []
+        ends: list[float] = []
         observed_starts: list[float] = []
-        counters: list[float] = []
         timer.reset()
         t = gaps.next_execution_time(0.0)
         for _ in range(_MAX_PERIODS):
             if t >= horizon:
                 break
-            obs_begin = timer.read(t)
+            observed_starts.append(timer.read(t))
             t_cross = timer.first_crossing(t, period)
             # The attacker only notices the crossing once it is executing
             # again: a gap spanning the boundary stretches the period.
             t_end = gaps.next_execution_time(t_cross)
             if t_end <= t:  # degenerate timer (e.g. randomized, lagging)
                 t_end = gaps.next_execution_time(t + period)
-            exec_ns = gaps.executed_between(t, min(t_end, horizon))
-            counter = self.attacker.count(exec_ns, t, run, rng)
-            if noise_sigma > 0:
-                counter *= max(0.0, 1.0 + rng.normal(0.0, noise_sigma))
-            observed_starts.append(obs_begin)
-            counters.append(np.floor(max(counter, 0.0)))
+            starts.append(t)
+            ends.append(min(t_end, horizon))
             t = t_end
         else:
             raise RuntimeError(
                 f"trace exceeded {_MAX_PERIODS} periods; timer never advances"
             )
-        return Trace(
-            spec=self.spec,
-            observed_starts=np.array(observed_starts),
-            counters=np.array(counters),
-            label=label,
-            attacker=self.attacker.name,
-        )
+        return np.array(starts), np.array(ends), np.array(observed_starts)
 
 
 def _collect_task(task: tuple) -> Trace:

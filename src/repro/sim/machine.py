@@ -294,7 +294,14 @@ class InterruptSynthesizer:
         gain = rng.lognormal(0.0, _OCCUPANCY_GAIN_SIGMA)
         white = rng.normal(0.0, _OCCUPANCY_NOISE_SIGMA, len(occupancy))
         kernel = np.ones(_OCCUPANCY_NOISE_SMOOTHING) / _OCCUPANCY_NOISE_SMOOTHING
-        ambient = np.abs(np.convolve(white, kernel, mode="same"))
+        if len(white) >= len(kernel):
+            smoothed = np.convolve(white, kernel, mode="same")
+        else:
+            # mode="same" returns the longer input's length; a run shorter
+            # than the kernel keeps its own samples, centred the same way.
+            offset = (len(kernel) - 1) // 2
+            smoothed = np.convolve(white, kernel, mode="full")[offset : offset + len(white)]
+        ambient = np.abs(smoothed)
         victim = np.clip(_OCCUPANCY_RESIDENCY * occupancy * gain, 0.0, 1.0)
         return victim, ambient
 

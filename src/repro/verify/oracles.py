@@ -20,6 +20,8 @@ oracle                 mode       certifies
                                   quantized / jittered / randomized timers
 ``data.roundtrip``     bit        sharded store build -> streaming read-back ==
                                   the same collection held in memory
+``collect.walk``       bit        two-pass batched period walk == retained
+                                  scalar walk (``core/walk_ref.py``)
 ====================== ========== =================================================
 
 All callables derive every RNG stream from the case alone, so a failing
@@ -34,18 +36,21 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.core.attacker import LoopCountingAttacker, SweepCountingAttacker
 from repro.core.collector import TraceCollector
+from repro.core.walk_ref import ReferenceTraceCollector
 from repro.engine.cache import TraceCache, cache_key
 from repro.engine.engine import ExecutionEngine
 from repro.ml.artifact import load_artifact
 from repro.ml.models import FeatureFingerprinter
 from repro.sim.events import MS
+from repro.sim.frequency import FrequencyConfig
 from repro.sim.interrupts_ref import ReferenceInterruptSynthesizer
 from repro.sim.machine import InterruptSynthesizer, MachineConfig
 from repro.sim.timeline import GapTimeline
 from repro.timers.spec import CHROME_TIMER, FIREFOX_TIMER, RANDOMIZED_DEFENSE_TIMER
 from repro.verify.oracle import Case, Oracle, register
-from repro.workload.browser import CHROME
+from repro.workload.browser import CHROME, FIREFOX, TOR_BROWSER
 from repro.workload.catalog import closed_world
 
 #: Fixed shape of the synthetic serving/ml dataset (kept small: every
@@ -159,6 +164,48 @@ def _collect_serial(case: Case) -> List[dict]:
 
 def _collect_parallel(case: Case) -> List[dict]:
     return _collect_traces(case, jobs=2)
+
+
+# ----------------------------------------------------------------------
+# collect.walk — two-pass batched period walk vs retained scalar walk
+# ----------------------------------------------------------------------
+
+#: ``(name, machine, browser)`` setups the walk oracle collects under:
+#: Chrome's jittered 0.1 ms timer, Tor's 100 ms quantized timer, the
+#: randomized defense timer, a browser without measurement noise (and a
+#: 1 ms quantized timer), and a machine with its frequency pinned.
+_WALK_SETUPS = (
+    ("chrome", MachineConfig(), CHROME),
+    ("tor", MachineConfig(), TOR_BROWSER),
+    ("randomized", MachineConfig(), CHROME.with_timer(RANDOMIZED_DEFENSE_TIMER)),
+    ("noise-free", MachineConfig(), dataclasses.replace(FIREFOX, measurement_noise=0.0)),
+    ("pinned", MachineConfig(frequency=FrequencyConfig(scaling_enabled=False)), CHROME),
+)
+
+
+def _walk_with(case: Case, collector_cls) -> List[dict]:
+    traces = []
+    for setup, machine, browser in _WALK_SETUPS:
+        browser = dataclasses.replace(browser, trace_seconds=case.horizon_ms / 1000.0)
+        for attacker in (LoopCountingAttacker(), SweepCountingAttacker()):
+            collector = collector_cls(machine, browser, attacker=attacker, seed=case.seed)
+            for trace in collector.collect(_case_sites(case), case.traces):
+                traces.append(
+                    {
+                        "setup": f"{setup}/{attacker.name}",
+                        "observed_starts": trace.observed_starts,
+                        "counters": trace.counters,
+                    }
+                )
+    return traces
+
+
+def _walk_reference(case: Case) -> List[dict]:
+    return _walk_with(case, ReferenceTraceCollector)
+
+
+def _walk_batched(case: Case) -> List[dict]:
+    return _walk_with(case, TraceCollector)
 
 
 # ----------------------------------------------------------------------
@@ -545,6 +592,20 @@ register(
         mode="bit",
         reference=_collect_serial,
         optimized=_collect_parallel,
+    )
+)
+
+register(
+    Oracle(
+        name="collect.walk",
+        description=(
+            "two-pass batched attacker period walk vs the retained scalar "
+            "walk (core/walk_ref.py), both attackers under jittered, "
+            "quantized and randomized timers, noise-free and pinned-frequency"
+        ),
+        mode="bit",
+        reference=_walk_reference,
+        optimized=_walk_batched,
     )
 )
 

@@ -76,3 +76,62 @@ class TestSweepCountingAttacker:
 
     def test_name(self):
         assert SweepCountingAttacker().name == "sweep-counting"
+
+
+def _scalar_counters(attacker, exec_ns, t_begin_ns, run, rng, noise_sigma):
+    """The per-period scalar walk's counters (``repro.core.walk_ref``)."""
+    counters = []
+    for exec_one, t_one in zip(exec_ns.tolist(), t_begin_ns.tolist()):
+        counter = attacker.count(exec_one, t_one, run, rng)
+        if noise_sigma > 0:
+            counter *= max(0.0, 1.0 + rng.normal(0.0, noise_sigma))
+        counters.append(np.floor(max(counter, 0.0)))
+    return np.array(counters)
+
+
+def _periods(run, n):
+    """``n`` sorted period starts over the run, with mixed execution times.
+
+    Zero, fully-executed and (tiny) negative execution times exercise the
+    floor; the starts span many turbo bins and occupancy levels.
+    """
+    gen = np.random.default_rng(n)
+    t_begin = np.sort(gen.uniform(0.0, float(run.occupancy_times[-1]), n))
+    exec_ns = gen.uniform(0.0, 5 * MS, n)
+    exec_ns[::7] = 0.0
+    exec_ns[1::11] = 5 * MS
+    exec_ns[2::13] = -1e-9
+    return exec_ns, t_begin
+
+
+ATTACKERS = [
+    pytest.param(LoopCountingAttacker(), id="loop"),
+    pytest.param(SweepCountingAttacker(), id="sweep"),
+    # Large jitter and coupling: the 0.1 sweep-time floor and the
+    # occupancy clip are both hit.
+    pytest.param(
+        SweepCountingAttacker(sweep_jitter=0.6, occupancy_coupling=10.0), id="sweep-clamped"
+    ),
+]
+
+
+class TestCountMany:
+    @pytest.mark.parametrize("attacker", ATTACKERS)
+    # 0.6 makes 1 + noise negative often enough to hit the zero clamp.
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.004, 0.6])
+    @pytest.mark.parametrize("n", [0, 1, 400])
+    def test_equals_scalar_counts_bit_for_bit(self, nytimes_run, attacker, noise_sigma, n):
+        exec_ns, t_begin = _periods(nytimes_run, n)
+        scalar_rng = np.random.default_rng(99)
+        batched_rng = np.random.default_rng(99)
+        expected = _scalar_counters(
+            attacker, exec_ns, t_begin, nytimes_run, scalar_rng, noise_sigma
+        )
+        counters = attacker.count_many(
+            exec_ns, t_begin, nytimes_run, batched_rng, noise_sigma
+        )
+        assert counters.shape == (n,)
+        assert counters.dtype == np.float64
+        assert counters.tobytes() == expected.tobytes()
+        # Same number of draws: the streams stay aligned afterwards.
+        assert batched_rng.bit_generator.state == scalar_rng.bit_generator.state

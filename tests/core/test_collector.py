@@ -1,13 +1,18 @@
 """Tests for trace collection."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.core.attacker import SweepCountingAttacker
+from repro.core.attacker import LoopCountingAttacker, SweepCountingAttacker
 from repro.core.collector import NoiseHooks, TraceCollector
+from repro.core.walk_ref import ReferenceTraceCollector
 from repro.defenses.interrupt_noise import SpuriousInterruptInjector
 from repro.sim.events import MS, SEC
 from repro.sim.machine import MachineConfig
+from repro.sim.timeline import GapTimeline
+from repro.timers.randomized import RandomizedTimer
 from repro.timers.spec import NATIVE_TIMER, RANDOMIZED_DEFENSE_TIMER
 from repro.workload.browser import CHROME, LINUX, Browser
 from repro.workload.phases import ActivityBurst, ActivityTimeline, BurstKind
@@ -184,3 +189,86 @@ class TestDeprecatedShimsRemoved:
         assert single.counters.size > 0
         assert len(several) == 2
         assert stacked_x.shape[0] == len(stacked_labels) == 2
+
+
+class StallingTimer(RandomizedTimer):
+    """The randomized defense timer, except every third crossing stalls.
+
+    A stalled ``first_crossing`` returns ``t0`` itself, so the walk takes
+    its degenerate-timer branch and steps one nominal period instead.
+    """
+
+    def __init__(self, seed: int = 0):
+        super().__init__(seed=seed)
+        self.calls = 0
+        self.stalls = 0
+
+    def first_crossing(self, t0_real_ns: float, elapsed_ns: float) -> float:
+        self.calls += 1
+        if self.calls % 3 == 0:
+            self.stalls += 1
+            return float(t0_real_ns)
+        return super().first_crossing(t0_real_ns, elapsed_ns)
+
+
+class StallingSpec:
+    """Timer-spec stand-in that keeps the timers it builds."""
+
+    def __init__(self):
+        self.built = []
+
+    def build(self, seed: int = 0) -> StallingTimer:
+        self.built.append(StallingTimer(seed=seed))
+        return self.built[-1]
+
+
+def _assert_traces_bit_identical(reference, batched):
+    assert len(reference) == len(batched)
+    for want, got in zip(reference, batched):
+        assert got.observed_starts.tobytes() == want.observed_starts.tobytes()
+        assert got.counters.tobytes() == want.counters.tobytes()
+
+
+class TestBatchedWalk:
+    """The two-pass walk against the retained one-pass scalar walk."""
+
+    @pytest.mark.parametrize(
+        "attacker", [LoopCountingAttacker(), SweepCountingAttacker()], ids=["loop", "sweep"]
+    )
+    def test_degenerate_branch_matches_reference(self, site, attacker):
+        spec = StallingSpec()
+        traces = [
+            cls(
+                MachineConfig(os=LINUX), SHORT_CHROME, attacker=attacker, timer=spec, seed=5
+            ).collect(site, 2)
+            for cls in (ReferenceTraceCollector, TraceCollector)
+        ]
+        _assert_traces_bit_identical(*traces)
+        assert all(timer.stalls > 10 for timer in spec.built)
+
+    @pytest.mark.parametrize(
+        "attacker", [LoopCountingAttacker(), SweepCountingAttacker()], ids=["loop", "sweep"]
+    )
+    @pytest.mark.parametrize("overhang_ns", [0.0, 3 * MS], ids=["at", "past"])
+    def test_first_execution_at_or_past_horizon_gives_empty_trace(
+        self, nytimes_run, attacker, overhang_ns
+    ):
+        """One gap covers the whole horizon: no period ever starts."""
+        horizon = float(SHORT_CHROME.horizon_ns)
+        run = SimpleNamespace(
+            attacker_timeline=SimpleNamespace(
+                gaps=GapTimeline(np.array([0.0]), np.array([horizon + overhang_ns]))
+            ),
+            frequency=nytimes_run.frequency,
+            occupancy_components_at=nytimes_run.occupancy_components_at,
+        )
+        traces = [
+            cls(MachineConfig(os=LINUX), SHORT_CHROME, attacker=attacker)._walk_periods(
+                run, RANDOMIZED_DEFENSE_TIMER.build(seed=1), np.random.default_rng(0), "idle"
+            )
+            for cls in (ReferenceTraceCollector, TraceCollector)
+        ]
+        _assert_traces_bit_identical([traces[0]], [traces[1]])
+        assert len(traces[1]) == 0
+        assert traces[1].counters.dtype == np.float64
+        assert traces[1].observed_starts.dtype == np.float64

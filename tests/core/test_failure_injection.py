@@ -41,6 +41,15 @@ class TestDegenerateTimer:
         # The fallback advances one nominal period at a time.
         assert 150 <= len(trace) <= 250
 
+    def test_frozen_timer_past_period_cap_raises(self, monkeypatch):
+        """The period cap still stops a walk that would run on and on."""
+        monkeypatch.setattr("repro.core.collector._MAX_PERIODS", 50)
+        collector = TraceCollector(
+            MachineConfig(), SHORT, timer=FrozenSpec(), seed=1
+        )
+        with pytest.raises(RuntimeError, match="exceeded 50 periods"):
+            collector.collect(profile_for("amazon.com"))
+
 
 class TestDegenerateWorkload:
     def test_idle_machine_still_produces_trace(self):

@@ -131,6 +131,20 @@ class TestSynthesis:
         assert run.occupancy_victim.min() >= 0.0
         assert run.occupancy_ambient.min() >= 0.0
 
+    @pytest.mark.parametrize("horizon_ms", [50, 140, 150, 400])
+    def test_occupancy_components_align_on_short_runs(self, horizon_ms):
+        """Runs with fewer occupancy samples than the noise kernel (150 ms
+        at 10 ms steps) keep one ambient value per sample."""
+        rng = np.random.default_rng(3)
+        site = profile_for("nytimes.com")
+        timeline = site.generate_load(rng, horizon_ms * 1_000_000)
+        run = InterruptSynthesizer(MachineConfig(os=LINUX)).synthesize(
+            timeline, style=site.style, rng=rng
+        )
+        assert len(run.occupancy_victim) == len(run.occupancy_times)
+        assert len(run.occupancy_ambient) == len(run.occupancy_times)
+        assert 0.0 <= float(run.occupancy_at(horizon_ms * 500_000)) <= 1.0
+
     def test_occupancy_interpolation(self):
         run = simulate()
         value = run.occupancy_at(HORIZON / 2)
