@@ -13,7 +13,12 @@ from repro.sim.interrupts import (
     LatencySpec,
     is_movable,
 )
-from repro.sim.machine import InterruptSynthesizer, MachineConfig, MachineRun
+from repro.sim.machine import (
+    CoreIndexError,
+    InterruptSynthesizer,
+    MachineConfig,
+    MachineRun,
+)
 from repro.sim.routing import (
     AffinitySourceRouting,
     PinnedRouting,
@@ -30,7 +35,8 @@ __all__ = [
     "FrequencyConfig", "FrequencyTrace", "IterationRateModel", "TurboGovernor",
     "DEFAULT_LATENCIES", "MOVABLE_TYPES", "NON_MOVABLE_TYPES", "PIGGYBACK_TYPES",
     "HandlerLatencyModel", "InterruptBatch", "InterruptType", "LatencySpec",
-    "is_movable", "InterruptSynthesizer", "MachineConfig", "MachineRun",
+    "is_movable", "CoreIndexError", "InterruptSynthesizer", "MachineConfig",
+    "MachineRun",
     "AffinitySourceRouting", "PinnedRouting", "RoutingPolicy",
     "SoftirqPlacement", "SpreadRouting", "SchedulerConfig", "CoreTimeline",
     "GapTimeline", "InterruptRecord", "serialize_handlers", "BARE_METAL",

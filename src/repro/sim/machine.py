@@ -17,14 +17,20 @@ configuration it generates every interrupt the machine would handle:
 The result, a :class:`MachineRun`, carries one
 :class:`~repro.sim.timeline.CoreTimeline` per core plus the DVFS
 frequency schedule and the LLC occupancy curve — everything the
-attackers and the kernel tracer observe.
+attackers and the kernel tracer observe.  Generation is eager: every
+core's interrupts are drawn, in one fixed RNG order.  Assembly (merge,
+handler serialization, gap merge) is per core and happens on first
+access, so collection, which reads only the attacker's core, never
+assembles the others.
 """
 
 from __future__ import annotations
 
+import operator
 import os
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -151,9 +157,55 @@ class MachineConfig:
         return replace(self, **changes)
 
 
+class CoreIndexError(IndexError, ValueError):
+    """A core index outside ``[0, n_cores)``.
+
+    An :class:`IndexError` so that sequence iteration stops at the last
+    core, and a :class:`ValueError` because a bad core is a bad argument.
+    """
+
+
+class LazyCores(Sequence[CoreTimeline]):
+    """Read-only per-core timelines, each assembled on first access.
+
+    Holds every core's interrupt batches and the synthesizer's builder.
+    Indexing core ``i`` builds its :class:`CoreTimeline` once, caches it
+    and drops that core's batches; negative or out-of-range indices raise
+    :class:`CoreIndexError` instead of wrapping around.
+    """
+
+    def __init__(
+        self,
+        per_core: list[list[InterruptBatch]],
+        build: Callable[[list[InterruptBatch]], CoreTimeline],
+    ):
+        self._batches: list[Optional[list[InterruptBatch]]] = list(per_core)
+        self._build = build
+        self._built: list[Optional[CoreTimeline]] = [None] * len(self._batches)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, index: int) -> CoreTimeline:
+        i = operator.index(index)
+        if not 0 <= i < len(self._built):
+            raise CoreIndexError(f"core {i} out of range for {len(self._built)} cores")
+        core = self._built[i]
+        if core is None:
+            core = self._built[i] = self._build(self._batches[i])
+            self._batches[i] = None
+        return core
+
+
 @dataclass
 class MachineRun:
     """Everything observable from one simulated victim run.
+
+    ``cores`` is a :class:`LazyCores`: every core's interrupts were
+    generated, but a core's :class:`CoreTimeline` is assembled only when
+    first read.  :meth:`InterruptSynthesizer.synthesize` assembles the
+    attacker's core; the others cost nothing unless a tracer or an
+    analysis asks for them, and then come out bit-identical.
 
     Occupancy is kept as two components: ``occupancy_victim`` is the
     victim's (residency-capped, gain-scaled) share of the LLC as a
@@ -164,7 +216,7 @@ class MachineRun:
     while *raising* the ambient level).
     """
 
-    cores: list[CoreTimeline]
+    cores: LazyCores
     frequency: FrequencyTrace
     occupancy_times: np.ndarray
     occupancy_victim: np.ndarray
@@ -255,7 +307,10 @@ class InterruptSynthesizer:
             obs.counter("sim.events_processed").inc(n_events)
             span.set(events=n_events)
 
-            cores = [self._build_core(batches) for batches in per_core]
+            cores = LazyCores(per_core, self._build_core)
+            # Collection reads the attacker's core: assemble it here so its
+            # cost is attributed to this span, not to the period walk.
+            cores[self.config.attacker_core]
             frequency = self._governor.run(
                 timeline.load_at_array, timeline.horizon_ns, rng
             )

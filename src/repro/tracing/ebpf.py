@@ -47,8 +47,6 @@ class KprobeTracer:
                  config: Optional[TracerConfig] = None):
         self.run = run
         self.core_index = run.config.attacker_core if core is None else int(core)
-        if not 0 <= self.core_index < len(run.cores):
-            raise ValueError(f"core {self.core_index} out of range")
         self.config = TracerConfig() if config is None else config
         self._timeline: CoreTimeline = run.cores[self.core_index]
         all_types = list(InterruptType)

@@ -8,7 +8,8 @@ inputs:
 oracle                 mode       certifies
 ====================== ========== =================================================
 ``sim.synthesize``     bit        vectorized interrupt synthesis == retained
-                                  scalar reference (``sim/interrupts_ref.py``)
+                                  scalar reference (``sim/interrupts_ref.py``),
+                                  every core, over seven machine configs
 ``engine.parallel``    bit        2-worker engine collection == serial collection
 ``engine.trace_cache`` bit        a cache round-trip returns the stored trace
 ``serve.batched``      bit        micro-batched server probs == direct
@@ -48,9 +49,10 @@ from repro.sim.frequency import FrequencyConfig
 from repro.sim.interrupts_ref import ReferenceInterruptSynthesizer
 from repro.sim.machine import InterruptSynthesizer, MachineConfig
 from repro.sim.timeline import GapTimeline
+from repro.sim.vm import SEPARATE_VMS
 from repro.timers.spec import CHROME_TIMER, FIREFOX_TIMER, RANDOMIZED_DEFENSE_TIMER
 from repro.verify.oracle import Case, Oracle, register
-from repro.workload.browser import CHROME, FIREFOX, TOR_BROWSER
+from repro.workload.browser import CHROME, FIREFOX, MACOS, TOR_BROWSER, WINDOWS
 from repro.workload.catalog import closed_world
 
 #: Fixed shape of the synthetic serving/ml dataset (kept small: every
@@ -104,8 +106,23 @@ def _run_struct(run) -> dict:
     }
 
 
+#: Machine configurations the ``sim.synthesize`` oracle cycles through,
+#: one per case by ``case.seed``: VM amplification, pinned routing,
+#: a larger machine with a high attacker core, Turbo Boost stalls and
+#: the other operating systems' handler costs and tick rates.
+_SYNTH_CONFIGS = (
+    MachineConfig(),
+    MachineConfig(vm=SEPARATE_VMS),
+    MachineConfig(irqbalance=True, pin_cores=True),
+    MachineConfig(n_cores=8, attacker_core=5),
+    MachineConfig(turbo_boost_artifacts=True),
+    MachineConfig(os=WINDOWS),
+    MachineConfig(os=MACOS, attacker_core=0, irqbalance=True),
+)
+
+
 def _synthesize_with(case: Case, synthesizer_cls) -> List[dict]:
-    config = MachineConfig()
+    config = _SYNTH_CONFIGS[case.seed % len(_SYNTH_CONFIGS)]
     horizon = _horizon_ns(case)
     runs = []
     for site in _case_sites(case):
@@ -574,7 +591,8 @@ register(
         name="sim.synthesize",
         description=(
             "vectorized InterruptSynthesizer vs the retained scalar "
-            "reference (sim/interrupts_ref.py), every core array bit-identical"
+            "reference (sim/interrupts_ref.py), every core array bit-identical, "
+            "cycling seven machine configs by seed"
         ),
         mode="bit",
         reference=_synthesize_reference,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.analysis import ClockPollingAttacker, analyze_run
+from repro.sim.machine import CoreIndexError
 
 
 class TestClockPollingAttacker:
@@ -20,6 +21,12 @@ class TestClockPollingAttacker:
     def test_gap_end(self, nytimes_run):
         gap = ClockPollingAttacker().observe(nytimes_run)[0]
         assert gap.end_ns == gap.start_ns + gap.length_ns
+
+    @pytest.mark.parametrize("core", [-1, 4])
+    def test_out_of_range_core_rejected(self, nytimes_run, core):
+        assert nytimes_run.config.n_cores == 4
+        with pytest.raises(CoreIndexError, match=f"core {core} out of range for 4 cores"):
+            ClockPollingAttacker(core=core).observe(nytimes_run)
 
     def test_invalid_threshold_rejected(self):
         with pytest.raises(ValueError):

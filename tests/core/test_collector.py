@@ -10,7 +10,7 @@ from repro.core.collector import NoiseHooks, TraceCollector
 from repro.core.walk_ref import ReferenceTraceCollector
 from repro.defenses.interrupt_noise import SpuriousInterruptInjector
 from repro.sim.events import MS, SEC
-from repro.sim.machine import MachineConfig
+from repro.sim.machine import InterruptSynthesizer, MachineConfig
 from repro.sim.timeline import GapTimeline
 from repro.timers.randomized import RandomizedTimer
 from repro.timers.spec import NATIVE_TIMER, RANDOMIZED_DEFENSE_TIMER
@@ -164,6 +164,19 @@ class TestCollect:
         assert list(batch)[1] is batch[1]
         tail = batch[1:]
         assert len(tail) == 2 and tail[0] is batch[1]
+
+    def test_assembles_one_core_per_trace(self, monkeypatch, site):
+        calls = []
+        original = InterruptSynthesizer._build_core
+
+        def counting(self, batches):
+            calls.append(len(batches))
+            return original(self, batches)
+
+        monkeypatch.setattr(InterruptSynthesizer, "_build_core", counting)
+        machine = MachineConfig(os=LINUX, n_cores=4)
+        TraceCollector(machine, SHORT_CHROME, seed=5).collect(site, 3)
+        assert len(calls) == 3
 
     def test_start_index_continues_sequence(self, collector, site):
         first = collector.collect(site, 2)

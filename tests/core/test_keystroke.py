@@ -13,7 +13,7 @@ from repro.core.keystroke import (
     typing_timeline,
 )
 from repro.sim.events import MS, SEC
-from repro.sim.machine import MachineConfig
+from repro.sim.machine import CoreIndexError, MachineConfig
 from repro.workload.phases import BurstKind
 
 
@@ -114,6 +114,12 @@ class TestAttackEndToEnd:
         )
         quiet = run_keystroke_attack(seed=2)
         assert noisy.precision < quiet.precision
+
+    @pytest.mark.parametrize("core", [-1, 4])
+    def test_out_of_range_core_rejected(self, nytimes_run, core):
+        assert nytimes_run.config.n_cores == 4
+        with pytest.raises(CoreIndexError, match=f"core {core} out of range for 4 cores"):
+            KeystrokeAttacker().recover(nytimes_run, [], core=core)
 
     def test_invalid_band_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,9 @@ import pytest
 
 from repro.sim.events import SEC
 from repro.sim.interrupts import MOVABLE_TYPES, InterruptBatch, InterruptType
-from repro.sim.machine import InterruptSynthesizer, MachineConfig
+from repro.sim import machine
+from repro.sim.machine import CoreIndexError, InterruptSynthesizer, MachineConfig
+from repro.sim.timeline import CoreTimeline
 from repro.sim.vm import SEPARATE_VMS
 from repro.workload.browser import LINUX, WINDOWS
 from repro.workload.website import profile_for
@@ -46,6 +48,99 @@ class TestMachineConfig:
         config = MachineConfig().with_isolation(pin_cores=True)
         assert config.pin_cores is True
         assert MachineConfig().pin_cores is False
+
+
+def _count_builds(monkeypatch) -> list:
+    """Record every core ``InterruptSynthesizer._build_core`` assembles."""
+    built = []
+    original = InterruptSynthesizer._build_core
+
+    def counting(self, batches):
+        core = original(self, batches)
+        built.append(core)
+        return core
+
+    monkeypatch.setattr(InterruptSynthesizer, "_build_core", counting)
+    return built
+
+
+class TestLazyCores:
+    def test_synthesize_assembles_only_the_attacker_core(self, monkeypatch):
+        built = _count_builds(monkeypatch)
+        run = simulate()
+        assert len(built) == 1
+        assert run.cores[run.config.attacker_core] is built[0]
+        assert run.attacker_timeline is built[0]
+        assert len(built) == 1
+
+    def test_each_core_assembled_at_most_once(self, monkeypatch):
+        built = _count_builds(monkeypatch)
+        run = simulate()
+        first = [run.cores[i] for i in range(len(run.cores))]
+        second = [run.cores[i] for i in range(len(run.cores))]
+        assert len(built) == len(run.cores)
+        assert all(a is b for a, b in zip(first, second))
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            MachineConfig(),
+            MachineConfig(vm=SEPARATE_VMS),
+            MachineConfig(n_cores=8, attacker_core=5),
+        ],
+        ids=["default", "separate-vms", "8-core"],
+    )
+    def test_lazy_core_equals_eager_assembly(self, monkeypatch, config):
+        captured = []
+
+        class Capturing(machine.LazyCores):
+            def __init__(self, per_core, build):
+                captured.append([list(batches) for batches in per_core])
+                super().__init__(per_core, build)
+
+        monkeypatch.setattr(machine, "LazyCores", Capturing)
+        run = simulate(config)
+        (per_core,) = captured
+        # Read the cores in reverse so assembly order differs from core order.
+        for index in reversed(range(config.n_cores)):
+            batches = [
+                InterruptBatch(
+                    itype=b.itype,
+                    times=b.times,
+                    durations=config.vm.transform_durations(b.durations),
+                    cause=b.cause,
+                )
+                for b in per_core[index]
+            ]
+            eager = CoreTimeline.from_batches(batches)
+            lazy = run.cores[index]
+            for name in (
+                "arrivals", "handler_durations", "type_codes", "cause_codes",
+                "starts", "ends", "record_gap_index",
+            ):
+                np.testing.assert_array_equal(getattr(lazy, name), getattr(eager, name))
+            np.testing.assert_array_equal(lazy.gaps.gap_starts, eager.gaps.gap_starts)
+            np.testing.assert_array_equal(lazy.gaps.gap_ends, eager.gaps.gap_ends)
+            assert lazy.cause_names == eager.cause_names
+
+    def test_sequence_behaviour(self):
+        run_a, run_b = simulate(seed=11), simulate(seed=12)
+        assert len(run_a.cores) == 4
+        cores = list(run_a.cores)
+        assert len(cores) == 4
+        assert all(core is run_a.cores[i] for i, core in enumerate(cores))
+        pairs = list(zip(run_a.cores, run_b.cores))
+        assert len(pairs) == 4
+        assert all(b is run_b.cores[i] for i, (_, b) in enumerate(pairs))
+        assert run_a.cores[np.int64(2)] is cores[2]
+
+    @pytest.mark.parametrize("index", [-1, -4, 4, 9])
+    def test_out_of_range_core_rejected(self, index):
+        run = simulate()
+        with pytest.raises(CoreIndexError, match=rf"core {index} out of range for 4 cores"):
+            run.cores[index]
+        assert issubclass(CoreIndexError, IndexError)
+        assert issubclass(CoreIndexError, ValueError)
 
 
 class TestSynthesis:
