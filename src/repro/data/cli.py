@@ -12,13 +12,13 @@ Usage::
     python -m repro.data build store/ --sites 4 --traces 2
 
 Exit status: 0 success, 1 verification failures or build errors, 2 usage
-errors (unknown subcommand, bad shapes, config mismatch on resume).
+errors (unknown subcommand, bad shapes, bad ``--jobs`` / ``--retries`` /
+``--task-timeout``, config mismatch on resume).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -26,13 +26,10 @@ from repro.data.manifest import DataError, DatasetConfig, DatasetManifest
 from repro.data.reader import ShardedDataset, verify_store
 from repro.data.writer import (
     BROWSER_KEYS,
-    SHARD_SITES_ENV_VAR,
+    DEFAULT_SHARD_SITES,
     build_dataset,
     merge_stores,
 )
-
-#: Same worker-count knob as the experiment runner.
-JOBS_ENV_VAR = "BIGGERFISH_JOBS"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,15 +77,15 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument(
         "--shard-sites",
         type=int,
-        default=None,
+        default=DEFAULT_SHARD_SITES,
         metavar="N",
-        help=f"catalog sites per shard (default: ${SHARD_SITES_ENV_VAR} or 8)",
+        help="catalog sites per shard (default: %(default)s)",
     )
     build.add_argument(
         "--jobs",
         type=int,
         default=None,
-        help=f"worker processes (default: ${JOBS_ENV_VAR} or 1)",
+        help="worker processes (default: $BIGGERFISH_JOBS or 1)",
     )
     build.add_argument(
         "--retries", type=int, default=None, help="per-task retry budget"
@@ -135,13 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_jobs(value: Optional[int]) -> Optional[int]:
-    if value is not None:
-        return value
-    raw = os.environ.get(JOBS_ENV_VAR, "").strip()
-    return int(raw) if raw else None
-
-
 def _progress(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -157,12 +147,15 @@ def _cmd_build(args: argparse.Namespace) -> int:
         browser=args.browser,
         seed=args.seed,
     )
-    jobs = _resolve_jobs(args.jobs)
-    engine = None
-    if jobs is not None and jobs > 1:
+    try:
         engine = ExecutionEngine(
-            jobs=jobs, retries=args.retries, task_timeout=args.task_timeout
+            jobs=args.jobs, retries=args.retries, task_timeout=args.task_timeout
         )
+    except ValueError as exc:  # bad --jobs / --retries / --task-timeout
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if engine.jobs == 1:
+        engine = None  # serial builds run in-process
     manifest = build_dataset(
         args.store,
         config,

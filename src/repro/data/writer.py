@@ -43,9 +43,6 @@ from repro.data.manifest import (
     ShardEntry,
 )
 
-#: Environment variable overriding the default sites-per-shard.
-SHARD_SITES_ENV_VAR = "BIGGERFISH_DATA_SHARD_SITES"
-
 #: Default number of catalog sites per shard.
 DEFAULT_SHARD_SITES = 8
 
@@ -54,10 +51,9 @@ BROWSER_KEYS = ("chrome", "firefox", "safari", "tor")
 
 
 def resolve_shard_sites(shard_sites: Optional[int] = None) -> int:
-    """Explicit value, else ``$BIGGERFISH_DATA_SHARD_SITES``, else 8."""
+    """Explicit value, else 8."""
     if shard_sites is None:
-        env = os.environ.get(SHARD_SITES_ENV_VAR, "").strip()
-        shard_sites = int(env) if env else DEFAULT_SHARD_SITES
+        shard_sites = DEFAULT_SHARD_SITES
     if shard_sites < 1:
         raise DataError(f"shard_sites must be >= 1, got {shard_sites}")
     return shard_sites

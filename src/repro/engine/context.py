@@ -47,10 +47,10 @@ class RunContext:
     ) -> "RunContext":
         """Context with a fresh engine (jobs from ``BIGGERFISH_JOBS``).
 
-        The standard way for scripts and tools to build a context: the
-        engine picks up the ``--jobs`` environment knob and the
-        fault-tolerance knobs (``BIGGERFISH_RETRIES``,
-        ``BIGGERFISH_TASK_TIMEOUT``); caching stays opt-in.
+        The standard way for scripts and tools to build a context: an
+        omitted ``jobs`` falls back to the ``BIGGERFISH_JOBS`` environment
+        knob, omitted ``retries`` / ``task_timeout`` to the engine's
+        constant defaults; caching stays opt-in.
         """
         return cls(
             scale=scale,

@@ -14,10 +14,10 @@ fire-and-forget ``pool.map``), which is what makes fault tolerance
 possible:
 
 * a task that raises is retried with capped exponential backoff
-  (``retries`` / ``BIGGERFISH_RETRIES``, deterministic — no jitter);
-* a task that outlives the per-task timeout (``task_timeout`` /
-  ``BIGGERFISH_TASK_TIMEOUT``) is abandoned and retried; once every
-  worker may be wedged on an abandoned task the pool is respawned;
+  (``retries``, deterministic — no jitter);
+* a task that outlives the per-task timeout (``task_timeout``) is
+  abandoned and retried; once every worker may be wedged on an
+  abandoned task the pool is respawned;
 * a dead worker (``BrokenProcessPool``) loses only the unfinished tasks
   of its round: finished futures are salvaged, the pool is respawned
   once, and if it breaks again the remaining tasks run inline in the
@@ -49,12 +49,9 @@ from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 from repro import obs
 from repro.engine import faults as engine_faults
 
-#: Environment variable overriding the default worker count.
+#: Environment variable overriding the default worker count.  This is
+#: the one place a run's worker count is resolved; every CLI defers here.
 JOBS_ENV_VAR = "BIGGERFISH_JOBS"
-#: Environment variable overriding the per-task retry budget.
-RETRIES_ENV_VAR = "BIGGERFISH_RETRIES"
-#: Environment variable overriding the per-task timeout (seconds).
-TASK_TIMEOUT_ENV_VAR = "BIGGERFISH_TASK_TIMEOUT"
 
 #: Re-execution attempts allowed per task after the first failure.
 DEFAULT_RETRIES = 2
@@ -171,39 +168,21 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 
 def resolve_retries(retries: Optional[int] = None) -> int:
-    """Retry budget from an explicit value, ``BIGGERFISH_RETRIES``, or 2."""
-    if retries is not None:
-        value = int(retries)
-    else:
-        raw = os.environ.get(RETRIES_ENV_VAR, "").strip()
-        try:
-            value = int(raw) if raw else DEFAULT_RETRIES
-        except ValueError:
-            raise ValueError(
-                f"{RETRIES_ENV_VAR} must be an integer, got {raw!r}"
-            ) from None
+    """Retry budget from an explicit value, else 2."""
+    value = DEFAULT_RETRIES if retries is None else int(retries)
     if value < 0:
         raise ValueError(f"retries must be >= 0, got {value}")
     return value
 
 
 def resolve_task_timeout(timeout: Optional[float] = None) -> Optional[float]:
-    """Per-task timeout from an explicit value or ``BIGGERFISH_TASK_TIMEOUT``.
+    """Per-task timeout from an explicit value, else None (no timeout).
 
-    None (the default) disables the timeout.  The timeout is measured
-    from when the scheduler starts waiting on a task, which upper-bounds
-    the task's own runtime.
+    The timeout is measured from when the scheduler starts waiting on a
+    task, which upper-bounds the task's own runtime.
     """
     if timeout is None:
-        raw = os.environ.get(TASK_TIMEOUT_ENV_VAR, "").strip()
-        if not raw:
-            return None
-        try:
-            timeout = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"{TASK_TIMEOUT_ENV_VAR} must be a number of seconds, got {raw!r}"
-            ) from None
+        return None
     value = float(timeout)
     if value <= 0:
         raise ValueError(f"task timeout must be positive, got {value}")

@@ -96,10 +96,7 @@ def run(ctx) -> Fig6Result:
         for site in closed_world(n_sites)
         for k in range(loads_per_site)
     ]
-    if ctx.engine is not None:
-        runs = ctx.engine.map(_simulate_load, tasks, stage="simulate")
-    else:
-        runs = [_simulate_load(task) for task in tasks]
+    runs = ctx.engine.map(_simulate_load, tasks, stage="simulate")
     # Trace every core so all interrupt types (incl. network RX, which
     # is bound to its source's affinity core) are observed.
     histograms = gap_length_histograms(runs, core=-1)

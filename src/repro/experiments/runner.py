@@ -22,20 +22,19 @@ caches collected traces on disk by default (``--no-cache`` disables,
 ``--cache-dir`` / ``BIGGERFISH_CACHE_DIR`` relocate) and can fan work
 out over worker processes (``--jobs`` / ``BIGGERFISH_JOBS``); parallel
 runs produce bit-identical results to serial ones.  Parallel runs are
-fault-tolerant: failed tasks retry deterministically (``--retries`` /
-``BIGGERFISH_RETRIES``), hung tasks are abandoned past ``--task-timeout``
-(``BIGGERFISH_TASK_TIMEOUT``) and re-executed, and dead worker pools are
-respawned.  With ``--save-dir`` a ``run_manifest.json`` records
-per-stage timings, cache statistics and fault counters (retries,
-timeouts, lost tasks, per-task error records) next to the rendered
-tables.
+fault-tolerant: failed tasks retry deterministically (``--retries``),
+hung tasks are abandoned past ``--task-timeout`` and re-executed, and
+dead worker pools are respawned.  With ``--save-dir`` a
+``run_manifest.json`` records per-stage timings, cache statistics and
+fault counters (retries, timeouts, lost tasks, per-task error records)
+next to the rendered tables.
 
-``--profile`` (or ``BIGGERFISH_PROFILE=1``) turns on the
-:mod:`repro.obs` observability subsystem: spans and metrics from every
-process are merged into ``profile.jsonl``, rendered as an SVG timeline,
-and summarized into the manifest; ``biggerfish report <run-dir>`` prints
-the per-stage time/memory/cache breakdown afterwards.  Profiling never
-changes results — a profiled run's tables are bit-identical.
+``--profile`` turns on the :mod:`repro.obs` observability subsystem:
+spans and metrics from every process are merged into ``profile.jsonl``,
+rendered as an SVG timeline, and summarized into the manifest;
+``biggerfish report <run-dir>`` prints the per-stage time/memory/cache
+breakdown afterwards.  Profiling never changes results — a profiled
+run's tables are bit-identical.
 
 ``biggerfish lint`` runs the :mod:`repro.lint` determinism linter
 (seeded-RNG plumbing, simulated-time-only simulation code, order-stable
@@ -51,7 +50,6 @@ performance is measured by the benchmark in ``perfbench/README.md``.
 from __future__ import annotations
 
 import argparse
-import os
 import pathlib
 import sys
 import tempfile
@@ -86,9 +84,6 @@ from repro.experiments.base import (
 )
 from repro.viz.figures import render
 
-#: Environment variable equivalent of ``--profile``.
-PROFILE_ENV_VAR = "BIGGERFISH_PROFILE"
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -120,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="re-execution attempts per failed task "
-        "(default: BIGGERFISH_RETRIES or 2; retries are bit-identical)",
+        "(default: 2; retries are bit-identical)",
     )
     parser.add_argument(
         "--task-timeout",
@@ -128,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="abandon and retry a parallel task running longer than this "
-        "(default: BIGGERFISH_TASK_TIMEOUT or no timeout)",
+        "(default: no timeout)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -151,8 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="record tracing spans and metrics (or BIGGERFISH_PROFILE=1); "
-        "writes profile.jsonl and an SVG timeline into --save-dir",
+        help="record tracing spans and metrics; writes profile.jsonl and "
+        "an SVG timeline into --save-dir",
     )
     parser.add_argument(
         "--top",
@@ -194,11 +189,6 @@ def _report_command(args: argparse.Namespace) -> int:
     code, text = obs_report.report_command(targets[0], top_n=args.top)
     print(text, file=sys.stderr if code else sys.stdout)
     return code
-
-
-def _profile_requested(args: argparse.Namespace) -> bool:
-    env = os.environ.get(PROFILE_ENV_VAR, "").strip().lower()
-    return args.profile or env in ("1", "true", "yes", "on")
 
 
 def _resolve_ids(requested: list[str]) -> list[str] | None:
@@ -276,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     if save_dir:
         save_dir.mkdir(parents=True, exist_ok=True)
     spool_dir = None
-    if _profile_requested(args):
+    if args.profile:
         spool_dir = (
             save_dir / ".obs-spool"
             if save_dir

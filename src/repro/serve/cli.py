@@ -15,9 +15,7 @@ recording weights, label classes and training provenance.
 and answers JSON-Lines requests on stdin — one object per line, e.g.
 ``{"id": 7, "vector": [24871, ...], "deadline_ms": 50}`` — with one
 JSON result per line on stdout.  Batching, backpressure and queue
-limits honor ``BIGGERFISH_SERVE_MAX_BATCH`` /
-``BIGGERFISH_SERVE_MAX_WAIT_MS`` / ``BIGGERFISH_SERVE_QUEUE`` (flags
-override).
+limits come from ``--max-batch`` / ``--max-wait-ms`` / ``--queue``.
 
 ``predict`` is the evaluation loop in one command: collect fresh
 evaluation traces (disjoint trace indices from training), classify them
@@ -38,6 +36,11 @@ import numpy as np
 
 from repro.config import SCALES
 from repro.ml.artifact import ArtifactError
+from repro.serve.server import (
+    DEFAULT_MAX_BATCH,
+    DEFAULT_MAX_QUEUE,
+    DEFAULT_MAX_WAIT_MS,
+)
 
 SUBCOMMANDS = ("train", "serve", "predict")
 
@@ -49,16 +52,16 @@ def _add_scale_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_server_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--max-batch", type=int, default=None,
-        help="largest micro-batch (default: BIGGERFISH_SERVE_MAX_BATCH or 32)",
+        "--max-batch", type=int, default=DEFAULT_MAX_BATCH,
+        help="largest micro-batch (default: %(default)s)",
     )
     parser.add_argument(
-        "--max-wait-ms", type=float, default=None,
-        help="batching window in ms (default: BIGGERFISH_SERVE_MAX_WAIT_MS or 2)",
+        "--max-wait-ms", type=float, default=DEFAULT_MAX_WAIT_MS,
+        help="batching window in ms (default: %(default)g)",
     )
     parser.add_argument(
-        "--queue", type=int, default=None,
-        help="bounded queue size (default: BIGGERFISH_SERVE_QUEUE or 256)",
+        "--queue", type=int, default=DEFAULT_MAX_QUEUE,
+        help="bounded queue size (default: %(default)s)",
     )
 
 

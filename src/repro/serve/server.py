@@ -26,14 +26,12 @@ Operational behavior:
   error counts are exported through :mod:`repro.obs`, and every batch
   runs under a ``serve.batch`` span.
 
-Defaults come from ``BIGGERFISH_SERVE_MAX_BATCH``,
-``BIGGERFISH_SERVE_MAX_WAIT_MS`` and ``BIGGERFISH_SERVE_QUEUE`` when the
-corresponding constructor arguments are omitted.
+Omitted limits default to :data:`DEFAULT_MAX_BATCH`,
+:data:`DEFAULT_MAX_WAIT_MS` and :data:`DEFAULT_MAX_QUEUE`.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
@@ -48,20 +46,10 @@ from repro.serve.registry import LoadedModel, ModelRegistry
 #: Every way a request can fail, as stable machine-readable codes.
 ERROR_CODES = ("overloaded", "deadline", "model_error", "bad_input", "shutdown")
 
-MAX_BATCH_ENV_VAR = "BIGGERFISH_SERVE_MAX_BATCH"
-MAX_WAIT_ENV_VAR = "BIGGERFISH_SERVE_MAX_WAIT_MS"
-QUEUE_ENV_VAR = "BIGGERFISH_SERVE_QUEUE"
-
-
-def _env_default(var: str, fallback, convert):
-    raw = os.environ.get(var)
-    if raw is None:
-        return fallback
-    try:
-        value = convert(raw)
-    except ValueError:
-        raise ValueError(f"{var} must be a number, got {raw!r}") from None
-    return value
+#: Default largest micro-batch, batching window and queue bound.
+DEFAULT_MAX_BATCH = 32
+DEFAULT_MAX_WAIT_MS = 2.0
+DEFAULT_MAX_QUEUE = 256
 
 
 @dataclass(frozen=True)
@@ -122,16 +110,10 @@ class FingerprintServer:
         registry: ModelRegistry,
         *,
         default_model: Optional[str] = None,
-        max_batch: Optional[int] = None,
-        max_wait_ms: Optional[float] = None,
-        max_queue: Optional[int] = None,
+        max_batch: int = DEFAULT_MAX_BATCH,
+        max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
+        max_queue: int = DEFAULT_MAX_QUEUE,
     ):
-        if max_batch is None:
-            max_batch = _env_default(MAX_BATCH_ENV_VAR, 32, int)
-        if max_wait_ms is None:
-            max_wait_ms = _env_default(MAX_WAIT_ENV_VAR, 2.0, float)
-        if max_queue is None:
-            max_queue = _env_default(QUEUE_ENV_VAR, 256, int)
         if max_batch < 1:
             raise ValueError(f"max_batch must be positive, got {max_batch}")
         if max_wait_ms < 0:
@@ -406,10 +388,10 @@ class FingerprintServer:
 
 
 __all__ = [
+    "DEFAULT_MAX_BATCH",
+    "DEFAULT_MAX_QUEUE",
+    "DEFAULT_MAX_WAIT_MS",
     "ERROR_CODES",
-    "MAX_BATCH_ENV_VAR",
-    "MAX_WAIT_ENV_VAR",
-    "QUEUE_ENV_VAR",
     "FingerprintServer",
     "PredictResult",
 ]

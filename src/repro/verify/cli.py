@@ -16,17 +16,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import sys
 from typing import List, Optional
 
+from repro.engine import resolve_jobs
 from repro.verify.driver import VerifyReport, make_cases, sweep
 from repro.verify.oracle import ORACLES, list_oracles
 from repro.verify.shrink import shrink, shrink_report
-
-#: Same worker-count knob as the experiment runner.
-JOBS_ENV_VAR = "BIGGERFISH_JOBS"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help=f"worker processes (default: ${JOBS_ENV_VAR} or 1)",
+        help="worker processes (default: $BIGGERFISH_JOBS or 1)",
     )
     parser.add_argument(
         "--sites", type=int, default=2, help="sites per case (default: 2)"
@@ -103,20 +100,6 @@ def _parse_seeds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> L
     if args.seeds < 1:
         parser.error(f"--seeds must be positive, got {args.seeds}")
     return list(range(args.seeds))
-
-
-def _resolve_jobs(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.jobs is not None:
-        jobs = args.jobs
-    else:
-        raw = os.environ.get(JOBS_ENV_VAR, "1")
-        try:
-            jobs = int(raw)
-        except ValueError:
-            parser.error(f"${JOBS_ENV_VAR} must be an integer, got {raw!r}")
-    if jobs < 1:
-        parser.error(f"--jobs must be positive, got {jobs}")
-    return jobs
 
 
 def _print_oracle_list() -> None:
@@ -160,7 +143,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     seeds = _parse_seeds(args, parser)
-    jobs = _resolve_jobs(args, parser)
+    try:
+        jobs = resolve_jobs(args.jobs)
+    except ValueError as exc:
+        parser.error(str(exc))
     oracle_names = None
     if args.oracles is not None:
         oracle_names = [part.strip() for part in args.oracles.split(",") if part.strip()]

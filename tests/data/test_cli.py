@@ -1,5 +1,7 @@
 """Tests for the ``biggerfish data`` CLI and its runner dispatch."""
 
+import pytest
+
 from repro.data import DatasetConfig, ShardedDataset, build_dataset
 from repro.data.cli import main as data_main
 from repro.experiments.runner import main as runner_main
@@ -55,6 +57,36 @@ def test_config_mismatch_is_usage_error(tmp_path, capsys):
     assert data_main(["build", store, *CONFIG_ARGS]) == 0
     assert data_main(["build", store, "--sites", "5", "--traces", "2"]) == 2
     assert "different" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, jobs_env",
+    [
+        (["--jobs", "0"], None),
+        (["--jobs", "-3"], None),
+        (["--retries", "-1"], None),
+        (["--task-timeout", "0"], None),
+        ([], "abc"),
+    ],
+    ids=["jobs-zero", "jobs-negative", "retries-negative", "timeout-zero",
+         "jobs-env-garbage"],
+)
+def test_bad_engine_settings_are_usage_errors(
+    tmp_path, capsys, monkeypatch, flags, jobs_env
+):
+    """Bad engine settings exit 2 with one error line, even for a
+    serial build, and nothing is collected."""
+    if jobs_env is None:
+        monkeypatch.delenv("BIGGERFISH_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("BIGGERFISH_JOBS", jobs_env)
+    store = tmp_path / "store"
+    argv = ["build", str(store), "--sites", "2", "--traces", "1",
+            "--trace-seconds", "0.2", *flags]
+    assert data_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (store / "dataset.json").exists()
 
 
 def test_ls_on_non_store_fails(tmp_path, capsys):

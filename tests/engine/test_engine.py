@@ -15,11 +15,7 @@ from repro.engine import (
     resolve_retries,
     resolve_task_timeout,
 )
-from repro.engine.engine import (
-    JOBS_ENV_VAR,
-    RETRIES_ENV_VAR,
-    TASK_TIMEOUT_ENV_VAR,
-)
+from repro.engine.engine import JOBS_ENV_VAR
 from repro.engine import faults
 from repro.sim.machine import MachineConfig
 from repro.workload.browser import CHROME, LINUX
@@ -68,13 +64,8 @@ class TestResolveJobs:
 
 
 class TestResolveRetries:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(RETRIES_ENV_VAR, raising=False)
+    def test_default(self):
         assert resolve_retries() == 2
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(RETRIES_ENV_VAR, "5")
-        assert resolve_retries() == 5
 
     def test_zero_allowed(self):
         assert resolve_retries(0) == 0
@@ -83,33 +74,17 @@ class TestResolveRetries:
         with pytest.raises(ValueError):
             resolve_retries(-1)
 
-    def test_env_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv(RETRIES_ENV_VAR, "lots")
-        with pytest.raises(ValueError):
-            resolve_retries()
-
 
 class TestResolveTaskTimeout:
-    def test_default_is_no_timeout(self, monkeypatch):
-        monkeypatch.delenv(TASK_TIMEOUT_ENV_VAR, raising=False)
+    def test_default_is_no_timeout(self):
         assert resolve_task_timeout() is None
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(TASK_TIMEOUT_ENV_VAR, "2.5")
-        assert resolve_task_timeout() == 2.5
-
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(TASK_TIMEOUT_ENV_VAR, "2.5")
+    def test_explicit_wins(self):
         assert resolve_task_timeout(9.0) == 9.0
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             resolve_task_timeout(0)
-
-    def test_env_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv(TASK_TIMEOUT_ENV_VAR, "forever")
-        with pytest.raises(ValueError):
-            resolve_task_timeout()
 
 
 class TestMap:

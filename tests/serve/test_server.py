@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from repro.serve.server import (
+    DEFAULT_MAX_BATCH,
+    DEFAULT_MAX_QUEUE,
+    DEFAULT_MAX_WAIT_MS,
     ERROR_CODES,
-    MAX_BATCH_ENV_VAR,
-    MAX_WAIT_ENV_VAR,
-    QUEUE_ENV_VAR,
     FingerprintServer,
 )
 
@@ -152,24 +152,17 @@ class TestErrorPaths:
 
 
 class TestConfiguration:
-    def test_env_var_defaults(self, registry, monkeypatch):
-        monkeypatch.setenv(MAX_BATCH_ENV_VAR, "7")
-        monkeypatch.setenv(MAX_WAIT_ENV_VAR, "3.5")
-        monkeypatch.setenv(QUEUE_ENV_VAR, "99")
+    def test_defaults_are_module_constants(self, registry):
         server = FingerprintServer(registry)
-        assert server.max_batch == 7
-        assert server.max_wait_ms == 3.5
-        assert server.max_queue == 99
+        assert (server.max_batch, server.max_wait_ms, server.max_queue) == (
+            DEFAULT_MAX_BATCH,
+            DEFAULT_MAX_WAIT_MS,
+            DEFAULT_MAX_QUEUE,
+        ) == (32, 2.0, 256)
 
-    def test_explicit_args_override_env(self, registry, monkeypatch):
-        monkeypatch.setenv(MAX_BATCH_ENV_VAR, "7")
+    def test_explicit_args_override_defaults(self, registry):
         server = FingerprintServer(registry, max_batch=3)
         assert server.max_batch == 3
-
-    def test_bad_env_value_raises(self, registry, monkeypatch):
-        monkeypatch.setenv(MAX_BATCH_ENV_VAR, "many")
-        with pytest.raises(ValueError, match=MAX_BATCH_ENV_VAR):
-            FingerprintServer(registry)
 
     def test_invalid_limits_rejected(self, registry):
         with pytest.raises(ValueError):

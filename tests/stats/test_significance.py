@@ -38,7 +38,13 @@ class TestAgainstScipy:
         if a.var(ddof=1) == 0 or b.var(ddof=1) == 0:
             return
         ours = welch_t_test(a, b)
-        theirs = scipy_stats.ttest_ind(a, b, equal_var=False)
+        # The test is scale-invariant, but scipy squares the per-sample
+        # variance terms and underflows at tiny scales (|x| ~ 1e-104).
+        # Rescale by an exact power of two so the oracle sees O(1) data.
+        _, e = np.frexp(np.abs(np.concatenate([a, b])).max())
+        theirs = scipy_stats.ttest_ind(
+            np.ldexp(a, -e), np.ldexp(b, -e), equal_var=False
+        )
         assert ours.statistic == pytest.approx(theirs.statistic, rel=1e-8, abs=1e-10)
         assert ours.p_value == pytest.approx(theirs.pvalue, rel=1e-6, abs=1e-10)
 

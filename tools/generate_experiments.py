@@ -39,7 +39,7 @@ def pct(mean_std) -> str:
 
 def build_report(scale, seed: int) -> str:
     # One context drives every experiment: scale + seed + an engine that
-    # honors BIGGERFISH_JOBS / BIGGERFISH_RETRIES / BIGGERFISH_TASK_TIMEOUT.
+    # honors BIGGERFISH_JOBS.
     ctx = RunContext.default(scale=scale, seed=seed)
     lines: list[str] = []
     add = lines.append
