@@ -14,7 +14,7 @@ from repro.engine import RunContext
 
 @pytest.fixture(scope="module")
 def result():
-    return background_noise.run(RunContext.default(scale=SMOKE.with_(traces_per_site=8), seed=0))
+    return background_noise.run(RunContext(scale=SMOKE.with_(traces_per_site=8), seed=0))
 
 
 def test_background_noise_robustness(benchmark, archive, result):

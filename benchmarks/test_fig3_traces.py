@@ -14,7 +14,7 @@ from repro.engine import RunContext
 
 def test_fig3_example_traces(benchmark, archive):
     result = benchmark.pedantic(
-        lambda: fig3.run(RunContext.default(scale=SMOKE.with_(period_ms=5.0), seed=0)),
+        lambda: fig3.run(RunContext(scale=SMOKE.with_(period_ms=5.0), seed=0)),
         rounds=1,
         iterations=1,
     )

@@ -13,7 +13,7 @@ from repro.engine import RunContext
 
 def test_fig4_attacker_correlation(benchmark, archive):
     result = benchmark.pedantic(
-        lambda: fig4.run(RunContext.default(scale=SMOKE.with_(traces_per_site=12), seed=0)),
+        lambda: fig4.run(RunContext(scale=SMOKE.with_(traces_per_site=12), seed=0)),
         rounds=1,
         iterations=1,
     )

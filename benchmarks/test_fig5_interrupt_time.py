@@ -14,7 +14,7 @@ from repro.engine import RunContext
 
 @pytest.fixture(scope="module")
 def result():
-    return fig5.run(RunContext.default(scale=SMOKE.with_(trace_seconds=8.0, traces_per_site=12), seed=0))
+    return fig5.run(RunContext(scale=SMOKE.with_(trace_seconds=8.0, traces_per_site=12), seed=0))
 
 
 def test_fig5_interrupt_time(benchmark, archive, result):

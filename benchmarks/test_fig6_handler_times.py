@@ -16,7 +16,7 @@ from repro.engine import RunContext
 
 @pytest.fixture(scope="module")
 def result():
-    return fig6.run(RunContext.default(scale=SMOKE.with_(trace_seconds=6.0), seed=0))
+    return fig6.run(RunContext(scale=SMOKE.with_(trace_seconds=6.0), seed=0))
 
 
 def test_fig6_handler_time_distributions(benchmark, archive, result):

@@ -15,7 +15,7 @@ from repro.engine import RunContext
 
 @pytest.fixture(scope="module")
 def result():
-    return fig7.run(RunContext.default(scale=SMOKE, seed=0))
+    return fig7.run(RunContext(scale=SMOKE, seed=0))
 
 
 def test_fig7_timer_outputs(benchmark, archive, result):

@@ -14,7 +14,7 @@ from repro.engine import RunContext
 
 @pytest.fixture(scope="module")
 def result():
-    return fig8.run(RunContext.default(scale=SMOKE, seed=0), period_ms=5.0, n_periods=500)
+    return fig8.run(RunContext(scale=SMOKE, seed=0), period_ms=5.0, n_periods=500)
 
 
 def test_fig8_period_durations(benchmark, archive, result):

@@ -24,7 +24,7 @@ BENCH_CONFIGS = (
 
 @pytest.fixture(scope="module")
 def result(request):
-    return table1.run(RunContext.default(scale=SMOKE, seed=0), configs=BENCH_CONFIGS, open_world=True)
+    return table1.run(RunContext(scale=SMOKE, seed=0), configs=BENCH_CONFIGS, open_world=True)
 
 
 def test_table1_browser_grid(benchmark, archive, result):

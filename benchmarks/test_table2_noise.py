@@ -17,7 +17,7 @@ from repro.engine import RunContext
 
 @pytest.fixture(scope="module")
 def result():
-    return table2.run(RunContext.default(scale=SMOKE.with_(traces_per_site=8), seed=0))
+    return table2.run(RunContext(scale=SMOKE.with_(traces_per_site=8), seed=0))
 
 
 def test_table2_noise_grid(benchmark, archive, result):

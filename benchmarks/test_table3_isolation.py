@@ -15,7 +15,7 @@ from repro.engine import RunContext
 
 @pytest.fixture(scope="module")
 def result():
-    return table3.run(RunContext.default(scale=SMOKE.with_(traces_per_site=8), seed=0))
+    return table3.run(RunContext(scale=SMOKE.with_(traces_per_site=8), seed=0))
 
 
 def test_table3_isolation_ladder(benchmark, archive, result):

@@ -15,7 +15,7 @@ from repro.engine import RunContext
 
 @pytest.fixture(scope="module")
 def result():
-    return table4.run(RunContext.default(scale=SMOKE.with_(period_ms=5.0, traces_per_site=8), seed=0))
+    return table4.run(RunContext(scale=SMOKE.with_(period_ms=5.0, traces_per_site=8), seed=0))
 
 
 def test_table4_timer_defenses(benchmark, archive, result):

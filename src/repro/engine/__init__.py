@@ -9,19 +9,20 @@ provides the two pieces that fix both:
   that fans work out at (site, trace-index) / fold granularity with
   deterministic per-task seeding, so parallel results are bit-identical
   to serial ones.  ``jobs=1`` (the default) runs everything inline.
-  Dispatch is future-based and fault-tolerant: failed attempts retry
-  with capped deterministic backoff, hung tasks are abandoned past a
-  per-task timeout, and a broken worker pool is respawned (then falls
-  back inline) — see :mod:`repro.engine.engine` and the test-only
-  :mod:`repro.engine.faults` injection hook.
+  Dispatch is future-based and fault-tolerant: every future is settled
+  through one classifier and one (pool state × outcome) table, so failed
+  attempts retry with capped deterministic backoff, hung tasks are
+  abandoned past a per-task timeout, and a broken worker pool is
+  respawned (then falls back inline) — see :mod:`repro.engine.engine`
+  and the test-only :mod:`repro.engine.faults` injection hook.
 * :class:`TraceCache` — a content-addressed on-disk store keyed by a
   hash of everything that determines a trace (machine config, browser,
   attacker, timer, period, site signature, trace index, seed, package
   version), so warm re-runs skip simulation entirely.
 
 :class:`RunContext` bundles scale, seed, engine and cache into the
-single argument the redesigned :class:`~repro.experiments.base.Experiment`
-protocol receives; :class:`RunManifest` records per-stage timings and
+single argument every registered experiment's ``run(ctx, **extras)``
+receives; :class:`RunManifest` records per-stage timings and
 cache statistics as the JSON artifact written next to rendered tables.
 """
 
@@ -39,8 +40,6 @@ from repro.engine.engine import (
     TaskError,
     TaskFailedError,
     resolve_jobs,
-    resolve_retries,
-    resolve_task_timeout,
 )
 from repro.engine.faults import FaultPlan, InjectedFault
 from repro.engine.manifest import RunManifest
@@ -59,7 +58,5 @@ __all__ = [
     "cache_key",
     "default_cache_dir",
     "resolve_jobs",
-    "resolve_retries",
-    "resolve_task_timeout",
     "stable_token",
 ]

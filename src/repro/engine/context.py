@@ -10,7 +10,6 @@ cheap value objects — derive variants with :meth:`with_` the way
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from repro.config import DEFAULT, Scale
 from repro.engine.engine import ExecutionEngine
@@ -18,11 +17,11 @@ from repro.engine.engine import ExecutionEngine
 
 @dataclass(frozen=True)
 class RunContext:
-    """Everything an :class:`~repro.experiments.base.Experiment` needs."""
+    """Everything a registered experiment's ``run(ctx, **extras)`` needs."""
 
     scale: Scale = DEFAULT
     seed: int = 0
-    engine: ExecutionEngine = None  # filled by __post_init__ / default()
+    engine: ExecutionEngine = None  # None: ExecutionEngine() (jobs from BIGGERFISH_JOBS)
 
     def __post_init__(self) -> None:
         if self.engine is None:
@@ -34,31 +33,6 @@ class RunContext:
     def cache(self):
         """The run's trace cache handle (None when caching is off)."""
         return self.engine.cache
-
-    @classmethod
-    def default(
-        cls,
-        scale: Scale = DEFAULT,
-        seed: int = 0,
-        jobs: Optional[int] = None,
-        cache=None,
-        retries: Optional[int] = None,
-        task_timeout: Optional[float] = None,
-    ) -> "RunContext":
-        """Context with a fresh engine (jobs from ``BIGGERFISH_JOBS``).
-
-        The standard way for scripts and tools to build a context: an
-        omitted ``jobs`` falls back to the ``BIGGERFISH_JOBS`` environment
-        knob, omitted ``retries`` / ``task_timeout`` to the engine's
-        constant defaults; caching stays opt-in.
-        """
-        return cls(
-            scale=scale,
-            seed=seed,
-            engine=ExecutionEngine(
-                jobs, cache=cache, retries=retries, task_timeout=task_timeout
-            ),
-        )
 
     def with_(self, **changes) -> "RunContext":
         """Copy with fields replaced (``ctx.with_(scale=SMOKE)``)."""

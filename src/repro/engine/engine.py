@@ -11,21 +11,40 @@ Because every task is a pure function of its description, the scheduler
 is also free to *re-execute* tasks: a retry is bit-identical to the
 first attempt.  Dispatch is future-based (one ``submit`` per task, not a
 fire-and-forget ``pool.map``), which is what makes fault tolerance
-possible:
+possible.  A parallel ``map`` runs in rounds: submit every pending task,
+then settle each future in input order.  :func:`_settle` classifies a
+future as *done*, *raised*, *timeout* (outlived ``task_timeout``),
+*lost* (its worker died: ``BrokenExecutor``), *unfinished* or
+*unsubmitted*, and one table, :data:`_POLICY`, decides what that means
+under the pool's state:
 
-* a task that raises is retried with capped exponential backoff
-  (``retries``, deterministic — no jitter);
-* a task that outlives the per-task timeout (``task_timeout``) is
-  abandoned and retried; once every worker may be wedged on an
-  abandoned task the pool is respawned;
-* a dead worker (``BrokenProcessPool``) loses only the unfinished tasks
-  of its round: finished futures are salvaged, the pool is respawned
-  once, and if it breaks again the remaining tasks run inline in the
-  parent;
-* every failed attempt is recorded as a structured :class:`TaskError`
-  (stage, task index, attempt, kind, remote traceback) surfaced through
-  ``timings_snapshot``/``fault_snapshot`` into the run manifest, and a
-  task that exhausts its budget raises :class:`TaskFailedError`.
+=============  ===================  ===================  ==============
+outcome        healthy (waits)      broken (polls)       wedged (polls)
+=============  ===================  ===================  ==============
+done           keep                 keep                 keep
+raised         retry after backoff  retry                retry after backoff
+timeout        retry                —                    —
+lost           becomes broken       retry (worker-lost)  requeue free
+unfinished     —                    retry (worker-lost)  requeue free
+unsubmitted    —                    requeue free         —
+=============  ===================  ===================  ==============
+
+A healthy pool turns *wedged* once as many of its futures have timed
+out as it has workers (each may still hold a worker), and *broken* when
+a submit or a result reports a dead worker; the future that reported it
+is then settled as broken.
+
+A retry spends one attempt of the task's budget (``retries``) and is
+recorded as a structured :class:`TaskError`; "requeue free" re-runs a
+task that never got a worker without charging it.  Backoff is capped
+exponential and deterministic (no jitter); it is skipped where the wait
+already happened or the pool is being replaced.  A broken or wedged
+round ends by replacing the pool: a broken pool is respawned once, and
+if it breaks again the round's requeued tasks finish inline in the
+parent, sharing the attempts already burned.  Wedged respawns are not
+limited.  Every failed attempt reaches the run manifest through
+``timings_snapshot``/``fault_snapshot``, and a task that exhausts its
+budget raises :class:`TaskFailedError`.
 
 Worker processes are spawned per ``map`` call via
 ``concurrent.futures.ProcessPoolExecutor``; tasks and their arguments
@@ -40,11 +59,14 @@ in CI.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import time
 import traceback as traceback_module
+from concurrent.futures import BrokenExecutor, Future
+from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro import obs
 from repro.engine import faults as engine_faults
@@ -58,9 +80,26 @@ DEFAULT_RETRIES = 2
 #: Base of the deterministic exponential backoff between attempts.
 DEFAULT_BACKOFF_S = 0.05
 #: Cap on a single backoff sleep.
-DEFAULT_BACKOFF_CAP_S = 1.0
+BACKOFF_CAP_S = 1.0
 #: Structured task errors kept per stage (totals keep counting past it).
 MAX_RECORDED_ERRORS_PER_STAGE = 100
+
+#: (pool state, outcome) -> (failure kind charged to the task, backoff).
+#: A kind of None requeues the task without spending its budget.  A
+#: "done" outcome keeps its result in every state; the pairs left out
+#: cannot occur (only a healthy pool waits, so only it sees timeouts,
+#: and a healthy pool that loses a worker is broken from then on).
+_POLICY: Dict[Tuple[str, str], Tuple[Optional[str], bool]] = {
+    ("healthy", "raised"): ("exception", True),
+    ("healthy", "timeout"): ("timeout", False),
+    ("broken", "raised"): ("exception", False),
+    ("broken", "lost"): ("worker-lost", False),
+    ("broken", "unfinished"): ("worker-lost", False),
+    ("broken", "unsubmitted"): (None, False),
+    ("wedged", "raised"): ("exception", True),
+    ("wedged", "lost"): (None, False),
+    ("wedged", "unfinished"): (None, False),
+}
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -130,20 +169,40 @@ class _TimedTask:
 
 
 @dataclass
-class _MapProgress:
-    """Mutable per-``map``-call record of what actually finished.
+class _Stage:
+    """Everything recorded under one stage name, across ``map`` calls."""
 
-    Shared with the dispatch helpers so the exception path can record
-    *completed* work — a failed run's manifest must not claim the whole
-    stage ran.
-    """
-
-    completed: int = 0
+    #: Cumulative wall-clock seconds spent in ``map``.
+    seconds: float = 0.0
+    #: Elapsed seconds of every *completed* task.
     task_seconds: List[float] = field(default_factory=list)
+    #: Re-executed attempts.
+    retries: int = 0
+    #: Attempts abandoned past the per-task timeout.
+    timeouts: int = 0
+    #: Attempts lost to dead worker processes.
+    tasks_lost: int = 0
+    #: Structured records of failed attempts (the first 100).
+    errors: List[TaskError] = field(default_factory=list)
 
-    def note(self, elapsed: float) -> None:
-        self.completed += 1
-        self.task_seconds.append(elapsed)
+    def snapshot(self) -> Dict[str, object]:
+        """The stage's manifest entry; fault fields only when non-zero."""
+        entry: Dict[str, object] = {
+            "seconds": round(self.seconds, 6),
+            "tasks": len(self.task_seconds),
+        }
+        if self.task_seconds:
+            entry["task_seconds"] = {
+                "min": round(min(self.task_seconds), 6),
+                "mean": round(sum(self.task_seconds) / len(self.task_seconds), 6),
+                "max": round(max(self.task_seconds), 6),
+            }
+        for label in ("retries", "timeouts", "tasks_lost"):
+            if getattr(self, label):
+                entry[label] = getattr(self, label)
+        if self.errors:
+            entry["task_errors"] = [record.as_dict() for record in self.errors]
+        return entry
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -167,26 +226,32 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return value
 
 
-def resolve_retries(retries: Optional[int] = None) -> int:
-    """Retry budget from an explicit value, else 2."""
-    value = DEFAULT_RETRIES if retries is None else int(retries)
-    if value < 0:
-        raise ValueError(f"retries must be >= 0, got {value}")
-    return value
+def _settle(
+    future: Optional[Future], timeout: Optional[float], poll: bool
+) -> Tuple[str, object]:
+    """What became of one submitted attempt, as ``(outcome, value)``.
 
-
-def resolve_task_timeout(timeout: Optional[float] = None) -> Optional[float]:
-    """Per-task timeout from an explicit value, else None (no timeout).
-
-    The timeout is measured from when the scheduler starts waiting on a
-    task, which upper-bounds the task's own runtime.
+    The outcome is "done" (value: the ``(result, elapsed)`` pair),
+    "raised" (value: the task's exception), "timeout" (no result within
+    ``timeout`` seconds), "lost" (its worker died), "unfinished" (still
+    running or cancelled) or "unsubmitted" (``future`` is None).  With
+    ``poll`` the call never waits, so it never times out: a broken or
+    wedged pool's futures are only triaged.
     """
-    if timeout is None:
-        return None
-    value = float(timeout)
-    if value <= 0:
-        raise ValueError(f"task timeout must be positive, got {value}")
-    return value
+    if future is None:
+        return "unsubmitted", None
+    if poll and (not future.done() or future.cancelled()):
+        return "unfinished", None
+    try:
+        return "done", future.result(timeout=None if poll else timeout)
+    except FuturesTimeout as error:
+        if poll:  # finished: the task raised a TimeoutError of its own
+            return "raised", error
+        return "timeout", None
+    except BrokenExecutor:
+        return "lost", None
+    except Exception as error:
+        return "raised", error
 
 
 class ExecutionEngine:
@@ -195,13 +260,17 @@ class ExecutionEngine:
     ``jobs=1`` (the default) executes tasks inline — no processes, no
     pickling — so library users pay nothing unless they opt in.  The
     engine also carries the run's :class:`~repro.engine.cache.TraceCache`
-    handle (``cache=None`` disables caching) and accumulates per-stage
-    wall-clock timings plus fault counters (retries, timeouts, lost
-    tasks, structured errors) for the run manifest.
+    handle (``cache=None`` disables caching) and accumulates one
+    :class:`_Stage` record per stage name (wall-clock time, per-task
+    spread, fault counters, structured errors) for the run manifest.
 
-    Retries are deterministic: tasks are pure functions of their
-    descriptions, so a re-executed task is bit-identical, and backoff is
-    capped exponential with no jitter.
+    ``retries`` (default 2) is the number of re-executions allowed per
+    task; ``task_timeout`` (default None: wait forever) abandons a
+    parallel task after that many seconds, measured from when the
+    scheduler starts waiting on it, which upper-bounds the task's own
+    runtime.  Retries are deterministic: tasks are pure functions of
+    their descriptions, so a re-executed task is bit-identical, and
+    backoff is capped exponential with no jitter.
     """
 
     def __init__(
@@ -211,28 +280,20 @@ class ExecutionEngine:
         retries: Optional[int] = None,
         task_timeout: Optional[float] = None,
         backoff_s: float = DEFAULT_BACKOFF_S,
-        backoff_cap_s: float = DEFAULT_BACKOFF_CAP_S,
     ):
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
-        self.retries = resolve_retries(retries)
-        self.task_timeout = resolve_task_timeout(task_timeout)
+        self.retries = DEFAULT_RETRIES if retries is None else int(retries)
+        if self.retries < 0:
+            raise ValueError(f"retries must be >= 0, got {self.retries}")
+        self.task_timeout = None if task_timeout is None else float(task_timeout)
+        if self.task_timeout is not None and not 0 < self.task_timeout < math.inf:
+            raise ValueError(
+                f"task timeout must be positive and finite, got {self.task_timeout}"
+            )
         self.backoff_s = float(backoff_s)
-        self.backoff_cap_s = float(backoff_cap_s)
-        #: Stage name -> cumulative wall-clock seconds spent in map().
-        self.stage_seconds: Dict[str, float] = {}
-        #: Stage name -> cumulative *completed* task count.
-        self.stage_tasks: Dict[str, int] = {}
-        #: Stage name -> per-task elapsed statistics (min/sum/max/count).
-        self.stage_task_stats: Dict[str, Dict[str, float]] = {}
-        #: Stage name -> re-executed attempts.
-        self.stage_retries: Dict[str, int] = {}
-        #: Stage name -> attempts abandoned past the per-task timeout.
-        self.stage_timeouts: Dict[str, int] = {}
-        #: Stage name -> attempts lost to dead worker processes.
-        self.stage_tasks_lost: Dict[str, int] = {}
-        #: Stage name -> structured records of every failed attempt.
-        self.stage_errors: Dict[str, List[TaskError]] = {}
+        #: Stage name -> everything recorded under it.
+        self.stages: Dict[str, _Stage] = {}
         #: Run-lifetime fault totals (survive ``reset_timings``).
         self.fault_totals: Dict[str, int] = {
             "retries": 0,
@@ -268,52 +329,36 @@ class ExecutionEngine:
         """
         items = list(items)
         task = _TimedTask(fn, stage)
-        progress = _MapProgress()
+        # An unnamed stage still counts toward the run's fault totals,
+        # but its record is never kept.
+        record = _Stage() if stage is None else self.stages.setdefault(stage, _Stage())
+        # ``(result, elapsed)`` per item, filled in as tasks finish.
+        outcomes: list = [None] * len(items)
         started = time.perf_counter()
         try:
             with obs.span(
                 "engine.map", stage=stage or "", tasks=len(items), jobs=self.jobs
             ):
                 if self.jobs == 1 or len(items) <= 1:
-                    outcomes = self._map_inline(task, items, progress)
+                    for index, item in enumerate(items):
+                        outcomes[index] = self._run_inline(task, record, item, index)
                 else:
-                    outcomes = self._map_parallel(task, items, progress)
-        except BaseException:
+                    self._map_parallel(task, record, items, outcomes)
+        finally:
             # A failed stage records only the work that actually
             # finished — precisely known because dispatch is per-task.
-            if stage is not None:
-                self.record(
-                    stage,
-                    time.perf_counter() - started,
-                    progress.completed,
-                    task_seconds=progress.task_seconds or None,
-                )
-            raise
-        if stage is not None:
-            self.record(
-                stage,
-                time.perf_counter() - started,
-                len(items),
-                task_seconds=[elapsed for _, elapsed in outcomes],
+            record.seconds += time.perf_counter() - started
+            record.task_seconds.extend(
+                outcome[1] for outcome in outcomes if outcome is not None
             )
         return [result for result, _ in outcomes]
-
-    # -- inline dispatch ------------------------------------------------
-
-    def _map_inline(
-        self, task: _TimedTask, items: list, progress: _MapProgress
-    ) -> list:
-        return [
-            self._run_inline(task, item, index, progress)
-            for index, item in enumerate(items)
-        ]
 
     def _run_inline(
         self,
         task: _TimedTask,
+        record: _Stage,
         item,
         index: int,
-        progress: _MapProgress,
         first_attempt: int = 0,
     ):
         """One task in the parent process, with the same retry contract.
@@ -325,28 +370,18 @@ class ExecutionEngine:
         attempt = first_attempt
         while True:
             try:
-                outcome = dataclasses.replace(task, index=index, attempt=attempt)(item)
+                return dataclasses.replace(task, index=index, attempt=attempt)(item)
             except Exception as error:
-                record = self._record_error(task.stage, index, attempt, "exception", error)
-                if attempt >= self.retries:
-                    raise TaskFailedError(record) from error
-                self._record_retry(task.stage, attempt)
+                self._charge(task, record, index, attempt, "exception", error, True)
                 attempt += 1
-                continue
-            progress.note(outcome[1])
-            return outcome
-
-    # -- parallel dispatch ----------------------------------------------
 
     def _map_parallel(
-        self, task: _TimedTask, items: list, progress: _MapProgress
-    ) -> list:
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-        from concurrent.futures import TimeoutError as FuturesTimeout
+        self, task: _TimedTask, record: _Stage, items: list, outcomes: list
+    ) -> None:
+        """Fill ``outcomes`` round by round, applying :data:`_POLICY`."""
+        from concurrent.futures import ProcessPoolExecutor
 
         workers = min(self.jobs, len(items))
-        outcomes: list = [None] * len(items)
-        done = [False] * len(items)
         attempts = [0] * len(items)
         pending = list(range(len(items)))
         pool = ProcessPoolExecutor(max_workers=workers)
@@ -355,7 +390,7 @@ class ExecutionEngine:
         try:
             while pending:
                 futures = {}
-                pool_broken = False
+                state = "healthy"
                 for i in pending:
                     try:
                         futures[i] = pool.submit(
@@ -363,206 +398,85 @@ class ExecutionEngine:
                             items[i],
                         )
                     except BrokenExecutor:
-                        pool_broken = True
+                        state = "broken"  # the rest stay unsubmitted
                         break
-                retried: set = set()
-                wedged = False
+                requeued = []
                 for i in pending:
-                    future = futures.get(i)
-                    if future is None or pool_broken or wedged:
-                        continue  # resolved by the sweeps below
-                    try:
-                        outcome = future.result(timeout=self.task_timeout)
-                    except FuturesTimeout:
+                    outcome, value = _settle(
+                        futures.get(i), self.task_timeout, poll=state != "healthy"
+                    )
+                    if outcome == "done":
+                        outcomes[i] = value
+                        continue
+                    if (state, outcome) == ("healthy", "lost"):
+                        state = "broken"
+                    kind, backoff = _POLICY[state, outcome]
+                    if outcome == "timeout":
                         abandoned += 1
-                        record = self._record_error(
-                            task.stage,
-                            i,
-                            attempts[i],
-                            "timeout",
-                            TimeoutError(
-                                f"task exceeded the {self.task_timeout}s task timeout"
-                            ),
-                        )
-                        self._account(self.stage_timeouts, "timeouts", task.stage)
-                        obs.counter("engine.task_timeouts").inc()
-                        if attempts[i] >= self.retries:
-                            raise TaskFailedError(record) from None
-                        # No backoff: we already waited out the timeout.
-                        self._record_retry(task.stage, attempts[i], backoff=False)
-                        attempts[i] += 1
-                        retried.add(i)
                         if abandoned >= workers:
                             # Every worker may be wedged on an abandoned
                             # task; stop charging innocent queued tasks
-                            # with spurious timeouts and respawn now.
-                            wedged = True
-                    except BrokenExecutor:
-                        pool_broken = True
-                    except Exception as error:
-                        record = self._record_error(
-                            task.stage, i, attempts[i], "exception", error
-                        )
-                        if attempts[i] >= self.retries:
-                            raise TaskFailedError(record) from error
-                        self._record_retry(task.stage, attempts[i])
+                            # with spurious timeouts and respawn.
+                            state = "wedged"
+                    if kind is not None:
+                        self._charge(task, record, i, attempts[i], kind, value, backoff)
                         attempts[i] += 1
-                        retried.add(i)
-                    else:
-                        outcomes[i] = outcome
-                        done[i] = True
-                        progress.note(outcome[1])
-                if pool_broken:
-                    retried |= self._sweep_broken_round(
-                        task, futures, pending, retried, done, attempts, outcomes, progress
-                    )
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    abandoned = 0
-                    if respawns_left > 0:
-                        respawns_left -= 1
-                        self.fault_totals["pool_respawns"] += 1
-                        obs.counter("engine.pool_respawns").inc()
-                        pool = ProcessPoolExecutor(max_workers=workers)
-                    else:
-                        # The pool died twice: finish inline, sharing the
-                        # per-task attempt budget already burned.
-                        for i in sorted(retried):
-                            outcomes[i] = self._run_inline(
-                                task, items[i], i, progress, first_attempt=attempts[i]
-                            )
-                            done[i] = True
-                        retried = set()
-                elif wedged:
-                    # Salvage what finished, requeue the rest without a
-                    # retry penalty (they never got a worker), and start
-                    # a fresh pool so the retries can actually schedule.
+                    requeued.append(i)
+                pending = requeued
+                if state == "healthy":
+                    continue
+                pool.shutdown(wait=False, cancel_futures=True)
+                abandoned = 0
+                if state == "broken" and not respawns_left:
+                    # The pool died twice: finish inline, sharing the
+                    # per-task attempt budget already burned.
                     for i in pending:
-                        if done[i] or i in retried:
-                            continue
-                        future = futures.get(i)
-                        outcome = None
-                        if (
-                            future is not None
-                            and future.done()
-                            and not future.cancelled()
-                        ):
-                            try:
-                                outcome = future.result(timeout=0)
-                            except BrokenExecutor:
-                                outcome = None
-                            except Exception as error:
-                                record = self._record_error(
-                                    task.stage, i, attempts[i], "exception", error
-                                )
-                                if attempts[i] >= self.retries:
-                                    raise TaskFailedError(record) from error
-                                self._record_retry(task.stage, attempts[i])
-                                attempts[i] += 1
-                                retried.add(i)
-                                continue
-                        if outcome is not None:
-                            outcomes[i] = outcome
-                            done[i] = True
-                            progress.note(outcome[1])
-                        else:
-                            retried.add(i)
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    pool = ProcessPoolExecutor(max_workers=workers)
-                    self.fault_totals["pool_respawns"] += 1
-                    obs.counter("engine.pool_respawns").inc()
-                    abandoned = 0
-                pending = sorted(retried)
+                        outcomes[i] = self._run_inline(
+                            task, record, items[i], i, first_attempt=attempts[i]
+                        )
+                    break
+                if state == "broken":
+                    respawns_left -= 1
+                self._tally("pool_respawns", "engine.pool_respawns")
+                pool = ProcessPoolExecutor(max_workers=workers)
         finally:
             # Abandoned (timed-out) tasks may still be running; waiting
             # on them would stall the run for exactly the hang we just
             # routed around.
             pool.shutdown(wait=abandoned == 0, cancel_futures=True)
-        return outcomes
-
-    def _sweep_broken_round(
-        self,
-        task: _TimedTask,
-        futures: dict,
-        pending: list,
-        already_retried: set,
-        done: list,
-        attempts: list,
-        outcomes: list,
-        progress: _MapProgress,
-    ) -> set:
-        """Triage a broken pool's round: salvage, classify, requeue.
-
-        Futures that finished before the pool died keep their results;
-        ones that raised a task error burn a retry as usual; everything
-        else was lost with its worker and is re-executed without having
-        produced side effects twice (tasks are pure).  Returns the set
-        of task indices to re-run.
-        """
-        from concurrent.futures import BrokenExecutor
-
-        retried: set = set()
-        for i in pending:
-            if done[i] or i in already_retried:
-                continue
-            future = futures.get(i)
-            if future is None:  # never submitted; retry without penalty
-                retried.add(i)
-                continue
-            outcome = None
-            error: Optional[Exception] = None
-            if future.done() and not future.cancelled():
-                try:
-                    outcome = future.result(timeout=0)
-                except BrokenExecutor:
-                    pass  # lost with its worker
-                except Exception as exc:
-                    error = exc
-            if outcome is not None:
-                outcomes[i] = outcome
-                done[i] = True
-                progress.note(outcome[1])
-                continue
-            if error is not None:
-                kind: str = "exception"
-                cause: Exception = error
-            else:
-                kind = "worker-lost"
-                cause = RuntimeError("worker process died before the task finished")
-                self._account(self.stage_tasks_lost, "tasks_lost", task.stage)
-                obs.counter("engine.tasks_lost").inc()
-            record = self._record_error(task.stage, i, attempts[i], kind, cause)
-            if attempts[i] >= self.retries:
-                raise TaskFailedError(record) from error
-            self._record_retry(task.stage, attempts[i], backoff=False)
-            attempts[i] += 1
-            retried.add(i)
-        return retried
 
     # -- fault accounting -----------------------------------------------
 
-    def _account(self, per_stage: Dict[str, int], total_key: str, stage: Optional[str]) -> None:
-        key = stage or ""
-        per_stage[key] = per_stage.get(key, 0) + 1
+    def _tally(self, total_key: str, counter: str) -> None:
         self.fault_totals[total_key] += 1
+        obs.counter(counter).inc()
 
-    def _record_retry(
-        self, stage: Optional[str], attempt: int, backoff: bool = True
-    ) -> None:
-        self._account(self.stage_retries, "retries", stage)
-        obs.counter("engine.retries").inc()
-        if backoff and self.backoff_s > 0:
-            time.sleep(min(self.backoff_cap_s, self.backoff_s * (2**attempt)))
-
-    def _record_error(
+    def _charge(
         self,
-        stage: Optional[str],
+        task: _TimedTask,
+        record: _Stage,
         index: int,
         attempt: int,
         kind: str,
-        error: BaseException,
-    ) -> TaskError:
-        record = TaskError(
-            stage=stage or "",
+        error: Optional[BaseException],
+        backoff: bool,
+    ) -> None:
+        """Record one failed attempt and spend a retry on the task.
+
+        ``kind`` is "exception" (``error`` is what the task raised),
+        "timeout" or "worker-lost".  Raises :class:`TaskFailedError`
+        once ``attempt`` was the last the budget allows.
+        """
+        if kind == "timeout":
+            error = TimeoutError(f"task exceeded the {self.task_timeout}s task timeout")
+            record.timeouts += 1
+            self._tally("timeouts", "engine.task_timeouts")
+        elif kind == "worker-lost":
+            error = RuntimeError("worker process died before the task finished")
+            record.tasks_lost += 1
+            self._tally("tasks_lost", "engine.tasks_lost")
+        failure = TaskError(
+            stage=task.stage or "",
             index=index,
             attempt=attempt,
             kind=kind,
@@ -570,85 +484,27 @@ class ExecutionEngine:
             message=str(error),
             where=_error_where(error),
         )
-        errors = self.stage_errors.setdefault(stage or "", [])
-        if len(errors) < MAX_RECORDED_ERRORS_PER_STAGE:
-            errors.append(record)
+        if len(record.errors) < MAX_RECORDED_ERRORS_PER_STAGE:
+            record.errors.append(failure)
         self.fault_totals["task_errors"] += 1
-        return record
+        if attempt >= self.retries:
+            raise TaskFailedError(failure) from (error if kind == "exception" else None)
+        record.retries += 1
+        self._tally("retries", "engine.retries")
+        if backoff and self.backoff_s > 0:
+            time.sleep(min(BACKOFF_CAP_S, self.backoff_s * (2**attempt)))
 
     def fault_snapshot(self) -> Dict[str, int]:
         """Run-lifetime fault totals (for the manifest's ``faults`` block)."""
         return dict(self.fault_totals)
 
-    # ------------------------------------------------------------------
-
-    def record(
-        self,
-        stage: str,
-        seconds: float,
-        tasks: int = 0,
-        task_seconds: Optional[Sequence[float]] = None,
-    ) -> None:
-        """Accumulate wall-clock time (and task count) under a stage name.
-
-        ``task_seconds``, when given, folds per-task elapsed times into
-        the stage's min/mean/max spread so the slowest worker is visible
-        in the manifest.
-        """
-        self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
-        self.stage_tasks[stage] = self.stage_tasks.get(stage, 0) + tasks
-        if task_seconds:
-            stats = self.stage_task_stats.setdefault(
-                stage, {"min": float("inf"), "max": 0.0, "sum": 0.0, "count": 0}
-            )
-            stats["min"] = min(stats["min"], min(task_seconds))
-            stats["max"] = max(stats["max"], max(task_seconds))
-            stats["sum"] += sum(task_seconds)
-            stats["count"] += len(task_seconds)
-
-    def timings_snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Copy of the accumulated stage timings (for manifests).
-
-        Stages that saw faults additionally carry ``retries`` /
-        ``timeouts`` / ``tasks_lost`` counters and the structured
-        ``task_errors`` records.
-        """
-        snapshot = {}
-        for stage in sorted(self.stage_seconds):
-            entry = {
-                "seconds": round(self.stage_seconds[stage], 6),
-                "tasks": self.stage_tasks.get(stage, 0),
-            }
-            stats = self.stage_task_stats.get(stage)
-            if stats and stats["count"]:
-                entry["task_seconds"] = {
-                    "min": round(stats["min"], 6),
-                    "mean": round(stats["sum"] / stats["count"], 6),
-                    "max": round(stats["max"], 6),
-                }
-            for label, per_stage in (
-                ("retries", self.stage_retries),
-                ("timeouts", self.stage_timeouts),
-                ("tasks_lost", self.stage_tasks_lost),
-            ):
-                if per_stage.get(stage):
-                    entry[label] = per_stage[stage]
-            if self.stage_errors.get(stage):
-                entry["task_errors"] = [
-                    record.as_dict() for record in self.stage_errors[stage]
-                ]
-            snapshot[stage] = entry
-        return snapshot
+    def timings_snapshot(self) -> Dict[str, Dict[str, object]]:
+        """Every stage's manifest entry (see :meth:`_Stage.snapshot`)."""
+        return {name: self.stages[name].snapshot() for name in sorted(self.stages)}
 
     def reset_timings(self) -> None:
         """Clear per-stage records; run-lifetime fault totals persist."""
-        self.stage_seconds.clear()
-        self.stage_tasks.clear()
-        self.stage_task_stats.clear()
-        self.stage_retries.clear()
-        self.stage_timeouts.clear()
-        self.stage_tasks_lost.clear()
-        self.stage_errors.clear()
+        self.stages.clear()
 
 
 def _error_where(error: BaseException) -> str:

@@ -1,25 +1,21 @@
 """One module per paper table/figure, plus the registry and CLI runner."""
 
 from repro.experiments.base import (
-    Experiment,
     ExperimentHandle,
     ExperimentResult,
     ExperimentSpec,
-    FunctionExperiment,
     all_specs,
     format_rows,
     get_experiment,
     get_spec,
     list_experiments,
     register,
-    run_experiment,
     sparkline,
     suggest_experiment,
 )
 
 __all__ = [
-    "Experiment", "ExperimentHandle", "ExperimentResult", "ExperimentSpec",
-    "FunctionExperiment", "all_specs", "format_rows", "get_experiment",
-    "get_spec", "list_experiments", "register", "run_experiment",
-    "sparkline", "suggest_experiment",
+    "ExperimentHandle", "ExperimentResult", "ExperimentSpec", "all_specs",
+    "format_rows", "get_experiment", "get_spec", "list_experiments",
+    "register", "sparkline", "suggest_experiment",
 ]

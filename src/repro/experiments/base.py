@@ -1,24 +1,21 @@
 """Experiment infrastructure: results, formatting, registry.
 
-Every paper table and figure has a module in this package implementing
-the :class:`Experiment` protocol: an :class:`ExperimentSpec` (id, paper
-reference, description) plus ``run(ctx: RunContext) -> ExperimentResult``,
-where the context carries scale, seed, engine handle and trace cache.
-Results know how to print themselves as the rows/series the paper
-reports.  The registry powers the ``biggerfish`` CLI and the benchmark
-harness.
-
-Modules register a context-style run function with::
+Every paper table and figure has a module in this package registering
+a context-style run function under an :class:`ExperimentSpec` (id,
+paper reference, description)::
 
     @register("table1", paper_ref="Table 1", description="...")
     def run(ctx: RunContext, **extras) -> Table1Result: ...
 
-The decorator wraps it in a :class:`FunctionExperiment` and binds the
-module-level ``run`` name to an :class:`ExperimentHandle`.  Experiments
-take exactly one :class:`~repro.engine.context.RunContext`; the
-pre-engine ``run(scale=, seed=)`` convention was removed after its
+The decorator binds the module-level ``run`` name to an
+:class:`ExperimentHandle` holding the spec and the function.  The
+context carries scale, seed, engine handle and trace cache; results know
+how to print themselves as the rows/series the paper reports.  The
+registry powers the ``biggerfish`` CLI and the benchmark harness.
+Experiments take exactly one :class:`~repro.engine.context.RunContext`;
+the pre-engine ``run(scale=, seed=)`` convention was removed after its
 one-release deprecation window (build a context with
-``RunContext.default(scale=..., seed=...)`` instead).
+``RunContext(scale=..., seed=...)`` instead).
 """
 
 from __future__ import annotations
@@ -79,49 +76,22 @@ class ExperimentSpec:
     description: str = ""
 
 
-class Experiment(abc.ABC):
-    """One paper table/figure: a spec plus a context-style run method."""
-
-    spec: ExperimentSpec
-
-    @abc.abstractmethod
-    def run(self, ctx: RunContext, **extras) -> ExperimentResult:
-        """Produce the experiment's result under the given context."""
-
-
-class FunctionExperiment(Experiment):
-    """Adapts a ``run(ctx, **extras)`` function to the protocol."""
-
-    def __init__(self, spec: ExperimentSpec, fn: Callable[..., ExperimentResult]):
-        self.spec = spec
-        self._fn = fn
-
-    def run(self, ctx: RunContext, **extras) -> ExperimentResult:
-        return self._fn(ctx, **extras)
-
-    def __repr__(self) -> str:
-        return f"FunctionExperiment({self.spec.id!r})"
-
-
 class ExperimentHandle:
-    """Callable handle over an :class:`Experiment`.
+    """A registered experiment: its spec plus its ``run(ctx, **extras)``.
 
     ``handle(ctx, **extras)`` / ``handle.run(ctx, **extras)`` — one
     :class:`RunContext` in, one :class:`ExperimentResult` out.  Passing
     a :class:`~repro.config.Scale` (or ``scale=`` / ``seed=`` keywords)
     raises ``TypeError``: the legacy convention was removed; build a
-    context with ``RunContext.default(scale=..., seed=...)``.
+    context with ``RunContext(scale=..., seed=...)``.
     """
 
-    def __init__(self, experiment: Experiment):
-        self.experiment = experiment
-
-    @property
-    def spec(self) -> ExperimentSpec:
-        return self.experiment.spec
+    def __init__(self, spec: ExperimentSpec, fn: Callable[..., ExperimentResult]):
+        self.spec = spec
+        self.fn = fn
 
     def run(self, ctx: RunContext, **extras) -> ExperimentResult:
-        return self.experiment.run(ctx, **extras)
+        return self.fn(ctx, **extras)
 
     def __call__(self, *args, **extras) -> ExperimentResult:
         ctx = extras.pop("ctx", None)
@@ -135,9 +105,9 @@ class ExperimentHandle:
             raise TypeError(
                 f"{self.spec.id} takes a RunContext, got {type(ctx).__name__}; "
                 "the legacy run(scale=, seed=) convention was removed — use "
-                "RunContext.default(scale=..., seed=...)"
+                "RunContext(scale=..., seed=...)"
             )
-        return self.experiment.run(ctx, **extras)
+        return self.fn(ctx, **extras)
 
     def __repr__(self) -> str:
         return f"ExperimentHandle({self.spec.id!r})"
@@ -162,7 +132,7 @@ def register(experiment_id: str, paper_ref: str = "", description: str = ""):
         spec = ExperimentSpec(
             id=experiment_id, paper_ref=paper_ref, description=summary
         )
-        handle = ExperimentHandle(FunctionExperiment(spec, fn))
+        handle = ExperimentHandle(spec, fn)
         _REGISTRY[experiment_id] = handle
         return handle
 
@@ -186,13 +156,6 @@ def get_experiment(experiment_id: str) -> ExperimentHandle:
 def get_spec(experiment_id: str) -> ExperimentSpec:
     """The :class:`ExperimentSpec` of a registered experiment."""
     return get_experiment(experiment_id).spec
-
-
-def run_experiment(
-    experiment_id: str, ctx: RunContext, **extras
-) -> ExperimentResult:
-    """Run a registered experiment under a context (the new entry point)."""
-    return get_experiment(experiment_id).run(ctx, **extras)
 
 
 def suggest_experiment(experiment_id: str, n: int = 3) -> list[str]:

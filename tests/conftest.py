@@ -54,10 +54,10 @@ def tiny_scale() -> Scale:
 @pytest.fixture(scope="session")
 def fig4_result():
     """Fig 4 at TINY scale, shared by the experiment and renderer tests."""
-    return fig4.run(RunContext.default(scale=TINY.with_(traces_per_site=6), seed=4))
+    return fig4.run(RunContext(scale=TINY.with_(traces_per_site=6), seed=4))
 
 
 @pytest.fixture(scope="session")
 def fig6_result():
     """Fig 6 at TINY scale, shared by the experiment and renderer tests."""
-    return fig6.run(RunContext.default(scale=TINY.with_(trace_seconds=4.0), seed=4))
+    return fig6.run(RunContext(scale=TINY.with_(trace_seconds=4.0), seed=4))

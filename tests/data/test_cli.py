@@ -66,10 +66,12 @@ def test_config_mismatch_is_usage_error(tmp_path, capsys):
         (["--jobs", "-3"], None),
         (["--retries", "-1"], None),
         (["--task-timeout", "0"], None),
+        (["--task-timeout", "nan"], None),
+        (["--task-timeout", "inf"], None),
         ([], "abc"),
     ],
     ids=["jobs-zero", "jobs-negative", "retries-negative", "timeout-zero",
-         "jobs-env-garbage"],
+         "timeout-nan", "timeout-inf", "jobs-env-garbage"],
 )
 def test_bad_engine_settings_are_usage_errors(
     tmp_path, capsys, monkeypatch, flags, jobs_env

@@ -12,8 +12,6 @@ from repro.engine import (
     RunContext,
     TaskFailedError,
     resolve_jobs,
-    resolve_retries,
-    resolve_task_timeout,
 )
 from repro.engine.engine import JOBS_ENV_VAR
 from repro.engine import faults
@@ -64,27 +62,38 @@ class TestResolveJobs:
 
 
 class TestResolveRetries:
+    """The constructor resolves the retry budget: explicit value, else 2."""
+
     def test_default(self):
-        assert resolve_retries() == 2
+        assert ExecutionEngine().retries == 2
 
     def test_zero_allowed(self):
-        assert resolve_retries(0) == 0
+        assert ExecutionEngine(retries=0).retries == 0
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_retries(-1)
+        with pytest.raises(ValueError, match="retries must be >= 0"):
+            ExecutionEngine(retries=-1)
 
 
 class TestResolveTaskTimeout:
+    """The constructor resolves the per-task timeout: explicit, else None."""
+
     def test_default_is_no_timeout(self):
-        assert resolve_task_timeout() is None
+        assert ExecutionEngine().task_timeout is None
 
     def test_explicit_wins(self):
-        assert resolve_task_timeout(9.0) == 9.0
+        assert ExecutionEngine(task_timeout=9).task_timeout == 9.0
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_task_timeout(0)
+        with pytest.raises(ValueError, match="task timeout"):
+            ExecutionEngine(task_timeout=0)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, value):
+        # nan made every parallel wait "time out"; inf overflowed the
+        # wait's deadline.  Either way the run burnt its retry budget.
+        with pytest.raises(ValueError, match="finite"):
+            ExecutionEngine(task_timeout=float(value))
 
 
 class TestMap:
@@ -134,7 +143,7 @@ class TestMap:
         assert snapshot["tasks"] == 3
         assert snapshot["task_seconds"]["mean"] >= snapshot["task_seconds"]["min"]
         engine.reset_timings()
-        assert engine.stage_task_stats == {}
+        assert engine.stages == {}
 
     def test_failed_map_records_only_completed_tasks(self):
         """A failed stage must not claim the whole item count ran —
@@ -153,7 +162,7 @@ class TestMap:
         with pytest.raises(TaskFailedError) as excinfo:
             engine.map(_fail_on_three, [3], stage="demo")
         assert excinfo.value.task_error.attempt == 2  # 1 try + 2 retries
-        assert engine.stage_retries["demo"] == 2
+        assert engine.stages["demo"].retries == 2
         assert engine.fault_totals["retries"] == 2
 
     def test_original_error_is_chained(self):

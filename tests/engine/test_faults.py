@@ -167,7 +167,7 @@ class TestParallelRecovery:
         assert results == self.EXPECTED
         assert engine.fault_totals["retries"] == len(injected)
         assert engine.fault_totals["task_errors"] == len(injected)
-        errors = engine.stage_errors["w"]
+        errors = engine.stages["w"].errors
         assert sorted(e.index for e in errors) == injected
         assert {e.kind for e in errors} == {"exception"}
         assert {e.error_type for e in errors} == {"InjectedFault"}
@@ -181,7 +181,7 @@ class TestParallelRecovery:
         assert results == self.EXPECTED
         assert engine.fault_totals["tasks_lost"] >= 1
         assert engine.fault_totals["pool_respawns"] == 1
-        assert any(e.kind == "worker-lost" for e in engine.stage_errors["w"])
+        assert any(e.kind == "worker-lost" for e in engine.stages["w"].errors)
 
     @pytest.mark.slow
     def test_hung_tasks_time_out_and_retry(self):
@@ -192,8 +192,8 @@ class TestParallelRecovery:
             results = engine.map(_square, self.ITEMS, stage="w")
         assert results == self.EXPECTED
         assert engine.fault_totals["timeouts"] >= 1
-        assert engine.stage_timeouts["w"] >= 1
-        assert any(e.kind == "timeout" for e in engine.stage_errors["w"])
+        assert engine.stages["w"].timeouts >= 1
+        assert any(e.kind == "timeout" for e in engine.stages["w"].errors)
 
     def test_twice_killed_pool_falls_back_inline(self):
         # rate=1.0 + max_attempt=2 kills every task's first two attempts:
@@ -239,7 +239,7 @@ class TestParallelRecovery:
         with faults.injected(plan):
             with pytest.raises(TaskFailedError, match="after 2 attempt"):
                 engine.map(_square, [0], stage="w")
-        assert engine.stage_tasks["w"] == 0  # nothing actually completed
+        assert engine.timings_snapshot()["w"]["tasks"] == 0  # nothing completed
         assert engine.fault_totals["retries"] == 1
 
 

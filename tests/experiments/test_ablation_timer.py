@@ -9,7 +9,7 @@ from tests.conftest import TINY
 
 @pytest.fixture(scope="module")
 def result():
-    return ablation_timer.run(RunContext.default(scale=TINY, seed=3))
+    return ablation_timer.run(RunContext(scale=TINY, seed=3))
 
 
 class TestAblationTimer:

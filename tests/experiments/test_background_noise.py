@@ -10,7 +10,7 @@ from tests.conftest import TINY
 class TestBackgroundNoise:
     @pytest.fixture(scope="class")
     def result(self):
-        return background_noise.run(RunContext.default(scale=TINY, seed=5))
+        return background_noise.run(RunContext(scale=TINY, seed=5))
 
     def test_both_conditions_present(self, result):
         assert 0.0 <= result.noisy.top1.mean <= 1.0

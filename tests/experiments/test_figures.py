@@ -13,7 +13,7 @@ from tests.conftest import TINY
 class TestFig3:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig3.run(RunContext.default(scale=TINY, seed=4))
+        return fig3.run(RunContext(scale=TINY, seed=4))
 
     def test_three_marquee_traces(self, result):
         assert [t.label for t in result.traces] == [
@@ -47,7 +47,7 @@ class TestFig4:
 class TestFig5:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig5.run(RunContext.default(scale=TINY.with_(trace_seconds=6.0), seed=4))
+        return fig5.run(RunContext(scale=TINY.with_(trace_seconds=6.0), seed=4))
 
     def test_attribution_over_99(self, result):
         assert result.attributed_fraction > 0.99
@@ -96,7 +96,7 @@ class TestFig6:
 class TestFig7:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig7.run(RunContext.default(scale=TINY, seed=4))
+        return fig7.run(RunContext(scale=TINY, seed=4))
 
     def test_all_monotonic(self, result):
         assert all(s.monotonic for s in result.samples)
@@ -117,7 +117,7 @@ class TestFig7:
 class TestFig8:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig8.run(RunContext.default(scale=TINY, seed=4), n_periods=300)
+        return fig8.run(RunContext(scale=TINY, seed=4), n_periods=300)
 
     def test_quantized_exact_100ms(self, result):
         sample = result.sample_for("Quantized")

@@ -133,6 +133,14 @@ class TestRunnerCli:
         assert runner.main(["fig7", "--scale", "smoke", "--jobs", "0"]) == 2
         assert "jobs must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "nan", "inf"])
+    def test_task_timeout_flag_validated(self, capsys, value):
+        argv = ["fig7", "--scale", "smoke", "--task-timeout", value]
+        assert runner.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing ran
+        assert captured.err.count("\n") == 1 and "task timeout" in captured.err
+
     def test_cache_info_subcommand(self, tmp_path, capsys):
         assert runner.main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out

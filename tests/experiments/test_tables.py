@@ -17,7 +17,7 @@ class TestTable1:
     @pytest.fixture(scope="class")
     def result(self):
         return table1.run(
-            RunContext.default(scale=TINY, seed=4),
+            RunContext(scale=TINY, seed=4),
             configs=[(CHROME, LINUX)], open_world=True
         )
 
@@ -50,7 +50,7 @@ class TestTable1:
 
     def test_closed_only_mode(self):
         result = table1.run(
-            RunContext.default(scale=TINY, seed=4),
+            RunContext(scale=TINY, seed=4),
             configs=[(CHROME, LINUX)], open_world=False
         )
         assert result.rows[0].loop_open is None
@@ -63,7 +63,7 @@ class TestTable1:
 class TestTable2:
     @pytest.fixture(scope="class")
     def result(self):
-        return table2.run(RunContext.default(scale=TINY, seed=4))
+        return table2.run(RunContext(scale=TINY, seed=4))
 
     def test_both_attacks_present(self, result):
         assert [r.attack for r in result.rows] == ["loop-counting", "sweep-counting"]
@@ -79,7 +79,7 @@ class TestTable2:
 class TestTable3:
     @pytest.fixture(scope="class")
     def result(self):
-        return table3.run(RunContext.default(scale=TINY, seed=4))
+        return table3.run(RunContext(scale=TINY, seed=4))
 
     def test_five_rungs(self, result):
         assert len(result.rows) == 5
@@ -98,7 +98,7 @@ class TestTable3:
 class TestTable4:
     @pytest.fixture(scope="class")
     def result(self):
-        return table4.run(RunContext.default(scale=TINY, seed=4))
+        return table4.run(RunContext(scale=TINY, seed=4))
 
     def test_five_rows(self, result):
         names = [(r.timer_name, r.period_ms) for r in result.rows]

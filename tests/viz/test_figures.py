@@ -25,20 +25,20 @@ class TestRenderers:
         }
 
     def test_fig7_valid(self):
-        result = fig7.run(RunContext.default(scale=SMOKE, seed=1))
+        result = fig7.run(RunContext(scale=SMOKE, seed=1))
         svg = render("fig7", result)
         parse(svg)
         assert "Figure 7" in svg
         assert svg.count("polyline") >= 6  # ideal + observed per timer
 
     def test_fig8_valid(self):
-        result = fig8.run(RunContext.default(scale=SMOKE, seed=1), n_periods=200)
+        result = fig8.run(RunContext(scale=SMOKE, seed=1), n_periods=200)
         svg = render("fig8", result)
         parse(svg)
         assert "Randomized" in svg
 
     def test_fig3_valid(self):
-        result = fig3.run(RunContext.default(scale=TINY, seed=1))
+        result = fig3.run(RunContext(scale=TINY, seed=1))
         svg = render("fig3", result)
         parse(svg)
         assert "nytimes.com" in svg
@@ -52,7 +52,7 @@ class TestRenderers:
     def test_fig5_valid(self):
         from repro.experiments import fig5
 
-        result = fig5.run(RunContext.default(scale=TINY.with_(trace_seconds=3.0), seed=2))
+        result = fig5.run(RunContext(scale=TINY.with_(trace_seconds=3.0), seed=2))
         svg = render("fig5", result)
         parse(svg)
         assert "Softirq" in svg and "Resched" in svg
@@ -65,7 +65,7 @@ class TestRenderers:
     def test_table3_valid(self):
         from repro.experiments import table3
 
-        result = table3.run(RunContext.default(scale=TINY, seed=2))
+        result = table3.run(RunContext(scale=TINY, seed=2))
         svg = render("table3", result)
         parse(svg)
         assert "isolation" in svg
@@ -73,7 +73,7 @@ class TestRenderers:
     def test_table4_valid(self):
         from repro.experiments import table4
 
-        result = table4.run(RunContext.default(scale=TINY, seed=2))
+        result = table4.run(RunContext(scale=TINY, seed=2))
         svg = render("table4", result)
         parse(svg)
         assert "timer defenses" in svg

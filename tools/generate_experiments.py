@@ -40,7 +40,7 @@ def pct(mean_std) -> str:
 def build_report(scale, seed: int) -> str:
     # One context drives every experiment: scale + seed + an engine that
     # honors BIGGERFISH_JOBS.
-    ctx = RunContext.default(scale=scale, seed=seed)
+    ctx = RunContext(scale=scale, seed=seed)
     lines: list[str] = []
     add = lines.append
     started = time.time()
